@@ -6,7 +6,11 @@
 // reordering the gate list (fuzz/metamorphic.h) - distinct request bytes,
 // identical canonical key. The cached server solves each equivalence class
 // once and answers the rest by witness transfer; the uncached server pays
-// every solve. Emits BENCH_serve.json (see --out).
+// every solve. One class sits on the 127-qubit eagle127 device with every
+// duplicate physically relabeled, so the canonicalizer's large-graph path
+// is gated too: the bench times canonicalize_device on those relabelings
+// (canon.canon_device_ms) and checks they all share one key
+// (canon.one_key). Emits BENCH_serve.json (see --out).
 //
 // Usage: bench_serve [--out=FILE] [--budget-ms=N] [--dups=N] [--min-speedup=X]
 //   --out          JSON output path (default BENCH_serve.json)
@@ -15,6 +19,7 @@
 //                  87.5% of requests are relabeled duplicates)
 //   --min-speedup  exit non-zero below this cached-vs-uncached speedup
 //                  (default 5, the acceptance bar; 0 disables)
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -29,6 +34,7 @@
 #include "layout/verifier.h"
 #include "qasm/parser.h"
 #include "serve/batch.h"
+#include "serve/canonical.h"
 
 #ifndef OLSQ2_BENCHMARK_DIR
 #error "OLSQ2_BENCHMARK_DIR must be defined by the build"
@@ -44,6 +50,8 @@ struct Spec {
   device::Device device;
   int swap_duration;
   serve::Engine engine;
+  /// Every duplicate also gets a physical-qubit relabeling.
+  bool relabel_device = false;
 };
 
 fuzz::Instance variant_of(const fuzz::Instance& base, int which,
@@ -54,6 +62,11 @@ fuzz::Instance variant_of(const fuzz::Instance& base, int which,
     default: return fuzz::commuting_reorder(base, rng);
   }
 }
+
+/// Repetitions of the canonicalization timing loop over the eagle127
+/// relabelings: enough that the loop total clears benchdiff's 250 ms noise
+/// floor on the baseline machine.
+constexpr int kCanonReps = 250;
 
 struct RunStats {
   double wall_ms = 0;
@@ -128,23 +141,32 @@ int main(int argc, char** argv) {
                    serve::Engine::kSwap});
   specs.push_back({"toffoli_qx2", dir + "/toffoli_qx2.qasm",
                    device::ibm_qx2(), 3, serve::Engine::kDepth});
+  specs.push_back({"triangle_eagle127", dir + "/qaoa_triangle.qasm",
+                   device::ibm_eagle127(), 1, serve::Engine::kTbSwap,
+                   /*relabel_device=*/true});
 
   // Materialize base + relabeled-variant instances (owned here; requests
   // borrow). With the default --dups=7, 7 of every 8 requests are
   // relabeled duplicates of an earlier one.
   std::vector<std::unique_ptr<fuzz::Instance>> pool;
   std::vector<serve::Request> requests;
+  std::vector<const device::Device*> eagle_devices;
   bengen::Rng rng(2024);
   for (const Spec& spec : specs) {
     auto base = std::make_unique<fuzz::Instance>(fuzz::Instance{
         qasm::parse_file(spec.qasm), spec.device, spec.swap_duration});
     for (int d = 0; d <= dups; ++d) {
       if (d > 0) {
-        pool.push_back(std::make_unique<fuzz::Instance>(
-            variant_of(*pool[pool.size() - d], d - 1, rng)));
+        fuzz::Instance variant =
+            variant_of(*pool[pool.size() - d], d - 1, rng);
+        if (spec.relabel_device) {
+          variant = fuzz::relabel_physical_qubits(variant, rng);
+        }
+        pool.push_back(std::make_unique<fuzz::Instance>(std::move(variant)));
       } else {
         pool.push_back(std::move(base));
       }
+      if (spec.relabel_device) eagle_devices.push_back(&pool.back()->device);
       serve::Request req;
       req.circuit = &pool.back()->circuit;
       req.device = &pool.back()->device;
@@ -179,6 +201,31 @@ int main(int argc, char** argv) {
                     : 100.0 * dups / (dups + 1))
             << "%)\n";
 
+  // Large-device canonicalization: best of three timing loops, and the
+  // correctness key that every relabeling lands on one canonical key.
+  bool one_key = true;
+  const std::string eagle_key =
+      serve::canonicalize_device(*eagle_devices.front()).key;
+  for (const device::Device* dev : eagle_devices) {
+    one_key = one_key && serve::canonicalize_device(*dev).key == eagle_key;
+  }
+  double canon_loop_ms = 0;
+  for (int round = 0; round < 3; ++round) {
+    const double start = bench::now_ms();
+    for (int rep = 0; rep < kCanonReps; ++rep) {
+      for (const device::Device* dev : eagle_devices) {
+        serve::canonicalize_device(*dev);
+      }
+    }
+    const double ms = bench::now_ms() - start;
+    canon_loop_ms = round == 0 ? ms : std::min(canon_loop_ms, ms);
+  }
+  const double canon_device_ms =
+      canon_loop_ms / (kCanonReps * static_cast<double>(eagle_devices.size()));
+  std::cout << "eagle127 canonicalize_device: " << canon_device_ms
+            << " ms/call over " << eagle_devices.size() << " relabelings ("
+            << (one_key ? "one key" : "KEYS DIFFER") << ")\n";
+
   std::ofstream out(out_path);
   out << "{" << bench::json_stamp("serve") << "\"budget_ms\":" << budget_ms
       << ",\"dups\":" << dups
@@ -188,9 +235,17 @@ int main(int argc, char** argv) {
       << ",\"solves\":" << uncached.solves << "}"
       << ",\"cached\":{\"wall_ms\":" << cached.wall_ms
       << ",\"solves\":" << cached.solves << ",\"hits\":" << cached.hits
-      << "},\"speedup\":" << speedup << "}\n";
+      << "},\"speedup\":" << speedup
+      << ",\"canon\":{\"device\":\"eagle127\",\"relabelings\":"
+      << eagle_devices.size() << ",\"one_key\":" << (one_key ? 1 : 0)
+      << ",\"canon_device_ms\":" << canon_device_ms
+      << ",\"canon_loop_ms\":" << canon_loop_ms << "}}\n";
   std::cout << "wrote " << out_path << "\n";
 
+  if (!one_key) {
+    std::cerr << "relabeled eagle127 devices got different canonical keys\n";
+    return 1;
+  }
   if (min_speedup > 0 && speedup < min_speedup) {
     std::cerr << "speedup " << speedup << " below the " << min_speedup
               << "x acceptance bar\n";

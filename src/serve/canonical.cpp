@@ -1,10 +1,11 @@
 #include "serve/canonical.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
-#include <sstream>
+#include <array>
+#include <charconv>
+#include <numeric>
 #include <tuple>
+#include <utility>
 
 #include "circuit/dependency.h"
 #include "obs/obs.h"
@@ -19,92 +20,161 @@ namespace {
 // circuits), where the fallback costs cache hits, not correctness.
 constexpr int kLeafBudget = 2048;
 
-/// Densify arbitrary color values into ranks 0..k-1 preserving order.
-int densify(std::vector<int>& colors) {
-  std::vector<int> sorted(colors);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  for (int& c : colors) {
-    c = static_cast<int>(std::lower_bound(sorted.begin(), sorted.end(), c) -
-                         sorted.begin());
+/// Densify arbitrary color values colors[0, n) into ranks 0..k-1
+/// preserving order; returns k. `sorted` is n entries of scratch.
+int densify(int* colors, int n, int* sorted) {
+  std::copy(colors, colors + n, sorted);
+  std::sort(sorted, sorted + n);
+  const int k = static_cast<int>(std::unique(sorted, sorted + n) - sorted);
+  for (int v = 0; v < n; ++v) {
+    colors[v] =
+        static_cast<int>(std::lower_bound(sorted, sorted + k, colors[v]) -
+                         sorted);
   }
-  return static_cast<int>(sorted.size());
+  return k;
 }
 
-/// Generic WL-style refinement: `signature(v, colors)` must be
-/// label-invariant given invariant colors. Runs to a fixpoint.
-template <typename SigFn>
-std::vector<int> refine_colors(int n, std::vector<int> colors,
-                               const SigFn& signature) {
-  int classes = densify(colors);
-  while (classes < n) {
-    std::map<std::vector<int>, int> rank;
-    std::vector<std::vector<int>> sigs(n);
-    for (int v = 0; v < n; ++v) {
-      sigs[v] = signature(v, colors);
-      rank.emplace(sigs[v], 0);
-    }
-    int next = 0;
-    for (auto& [sig, r] : rank) r = next++;
-    std::vector<int> refined(n);
-    for (int v = 0; v < n; ++v) refined[v] = rank[sigs[v]];
-    if (next == classes) break;  // partition stable
-    colors = std::move(refined);
-    classes = next;
+/// Dense ranks of n int spans, span v = data[off[v], off[v + 1]), in
+/// lexicographic order (std::vector's operator<): ranks[v] counts the
+/// distinct spans ordered before v's. `order` is n entries of scratch.
+/// Returns the number of distinct spans.
+int rank_spans(int n, const int* off, const int* data, int* order,
+               int* ranks) {
+  const auto less = [&](int a, int b) {
+    return std::lexicographical_compare(data + off[a], data + off[a + 1],
+                                        data + off[b], data + off[b + 1]);
+  };
+  std::iota(order, order + n, 0);
+  std::sort(order, order + n, less);
+  int rank = 0;
+  for (int i = 0; i < n; ++i) {
+    if (i > 0 && less(order[i - 1], order[i])) ++rank;
+    ranks[order[i]] = rank;
   }
-  return colors;
+  return n == 0 ? 0 : rank + 1;
 }
 
-/// First color class with more than one member; -1 when discrete. Classes
-/// are scanned in color order, so the choice is label-invariant.
-int first_ambiguous_class(const std::vector<int>& colors, int n) {
-  std::vector<int> count(n, 0);
-  for (const int c : colors) count[c]++;
-  for (int c = 0; c < n; ++c) {
-    if (count[c] > 1) return c;
-  }
-  return -1;
+void append_int(std::string& out, int value) {
+  char buf[12];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
-/// Split class `cls` so that `v` keeps the class color and its former
-/// classmates move to the next color (all higher colors shift up one).
-std::vector<int> individualize(const std::vector<int>& colors, int cls,
-                               int v) {
-  std::vector<int> child(colors);
-  for (std::size_t u = 0; u < child.size(); ++u) {
-    if (child[u] > cls) child[u]++;
-    if (child[u] == cls && static_cast<int>(u) != v) child[u]++;
-  }
-  return child;
-}
+/// Buffers of one LabelSearch. Each canonicalizer keeps one per thread, so
+/// once a thread has searched a graph of some size, searches up to that
+/// size allocate nothing; nothing is shared between threads.
+struct SearchScratch {
+  std::vector<int> sigs;     // flat signatures, Graph::sig_offsets() spans
+  std::vector<int> order;    // rank_spans / densify scratch
+  std::vector<int> refined;  // one refinement round's ranks
+  std::vector<int> count;    // class sizes
+  std::vector<std::vector<int>> levels;  // colors per search depth
+  std::string key;                       // candidate key of the last leaf
+  std::string best_key;
+  std::vector<int> best_labels;
+};
 
-/// Shared individualization-refinement skeleton. `refine` maps colors to a
-/// stable refinement; `serialize` turns a discrete coloring (colors ==
-/// labels) into the candidate key. Minimizes the key over every branch,
-/// which makes the result invariant: automorphic candidates yield equal
-/// keys, non-automorphic ones are separated by the lexicographic order.
-struct CanonSearch {
-  int n = 0;
-  std::function<std::vector<int>(std::vector<int>)> refine;
-  std::function<std::string(const std::vector<int>&)> serialize;
+/// Individualization-refinement search shared by the device and circuit
+/// canonicalizers. It minimizes the serialized key over every branch, which
+/// makes the result invariant: automorphic leaves yield equal keys, and
+/// non-automorphic ones are separated by the lexicographic order. `Graph`
+/// supplies the vertex invariants:
+///   sig_offsets()              n + 1 bounds of each vertex's signature in
+///                              one flat buffer, fixed for the whole search;
+///   signature(v, colors, out)  v's signature under `colors`: colors[v]
+///                              first, the rest label-invariant;
+///   serialize(labels, key)     the candidate key of a discrete coloring.
+/// Refinement rewrites the flat signature buffer and ranks its spans each
+/// round (Weisfeiler-Leman to a fixpoint). All buffers live in a
+/// SearchScratch that the caller keeps per thread.
+template <typename Graph>
+class LabelSearch {
+ public:
+  LabelSearch(Graph& graph, int n, SearchScratch& scratch)
+      : graph_(graph), n_(n), s_(scratch) {
+    s_.sigs.resize(graph.sig_offsets().back());
+    s_.order.resize(n);
+    s_.refined.resize(n);
+    s_.count.resize(n);
+    // Every level individualizes one more vertex, so a branch is at most
+    // n levels deep; the reserve keeps level buffers from moving.
+    s_.levels.reserve(n + 1);
+    s_.best_key.clear();
+  }
+
+  /// Buffer of the n seed colors, to fill before run(). Any values; only
+  /// their order matters.
+  int* seed() { return level(0); }
+
+  void run() { visit(0, densify(level(0), n_, s_.order.data())); }
+
+  const std::string& best_key() const { return s_.best_key; }
+  const std::vector<int>& best_labels() const { return s_.best_labels; }
 
   int leaves_used = 0;
   bool budget_hit = false;
-  std::string best_key;
-  std::vector<int> best_labels;
 
-  void run(std::vector<int> colors) { visit(std::move(colors)); }
+ private:
+  /// Colors at search depth `depth`, n entries.
+  int* level(std::size_t depth) {
+    if (s_.levels.size() == depth) s_.levels.emplace_back();
+    s_.levels[depth].resize(n_);
+    return s_.levels[depth].data();
+  }
 
-  void visit(std::vector<int> colors) {
-    colors = refine(std::move(colors));
-    const int cls = first_ambiguous_class(colors, n);
-    if (cls < 0) {
-      leaves_used++;
-      std::string key = serialize(colors);
-      if (best_key.empty() || key < best_key) {
-        best_key = std::move(key);
-        best_labels = std::move(colors);
+  /// Refine dense `colors` in place to the stable partition; returns its
+  /// class count. A round's ranks start with the old color, so an
+  /// unchanged count means an unchanged coloring.
+  int refine(int* colors, int classes) {
+    const std::vector<int>& off = graph_.sig_offsets();
+    while (classes < n_) {
+      for (int v = 0; v < n_; ++v) {
+        graph_.signature(v, colors, s_.sigs.data() + off[v]);
       }
+      const int next = rank_spans(n_, off.data(), s_.sigs.data(),
+                                  s_.order.data(), s_.refined.data());
+      if (next == classes) break;
+      std::copy(s_.refined.begin(), s_.refined.end(), colors);
+      classes = next;
+    }
+    return classes;
+  }
+
+  /// First color class with more than one member; -1 when discrete.
+  /// Classes are scanned in color order, so the choice is label-invariant.
+  int first_ambiguous_class(const int* colors) {
+    std::fill(s_.count.begin(), s_.count.end(), 0);
+    for (int v = 0; v < n_; ++v) ++s_.count[colors[v]];
+    for (int c = 0; c < n_; ++c) {
+      if (s_.count[c] > 1) return c;
+    }
+    return -1;
+  }
+
+  /// Split class `cls` so that `v` keeps the class color and its former
+  /// classmates move to the next color (all higher colors shift up one).
+  /// `out` may alias `colors`.
+  void individualize(const int* colors, int cls, int v, int* out) const {
+    for (int u = 0; u < n_; ++u) {
+      const int c = colors[u];
+      out[u] = c > cls || (c == cls && u != v) ? c + 1 : c;
+    }
+  }
+
+  void leaf(const int* colors) {
+    ++leaves_used;
+    graph_.serialize(colors, s_.key);
+    if (s_.best_key.empty() || s_.key < s_.best_key) {
+      s_.best_key.swap(s_.key);
+      s_.best_labels.assign(colors, colors + n_);
+    }
+  }
+
+  void visit(std::size_t depth, int classes) {
+    int* colors = s_.levels[depth].data();
+    classes = refine(colors, classes);
+    const int cls = first_ambiguous_class(colors);
+    if (cls < 0) {
+      leaf(colors);
       return;
     }
     if (leaves_used >= kLeafBudget) {
@@ -113,65 +183,288 @@ struct CanonSearch {
       // sound (the key still serializes a genuine relabeling), but no
       // longer invariant under relabeling of the input.
       budget_hit = true;
-      while (true) {
-        const int c = first_ambiguous_class(colors, n);
-        if (c < 0) break;
-        int pick = -1;
-        for (int v = 0; v < n; ++v) {
-          if (colors[v] == c) {
-            pick = v;
-            break;
-          }
-        }
-        colors = refine(individualize(colors, c, pick));
+      for (int c = cls; c >= 0; c = first_ambiguous_class(colors)) {
+        const int pick =
+            static_cast<int>(std::find(colors, colors + n_, c) - colors);
+        individualize(colors, c, pick, colors);
+        classes = refine(colors, classes + 1);
       }
-      leaves_used++;
-      std::string key = serialize(colors);
-      if (best_key.empty() || key < best_key) {
-        best_key = std::move(key);
-        best_labels = std::move(colors);
-      }
+      leaf(colors);
       return;
     }
-    for (int v = 0; v < n; ++v) {
+    int* child = level(depth + 1);
+    for (int v = 0; v < n_; ++v) {
       if (colors[v] != cls) continue;
-      visit(individualize(colors, cls, v));
+      individualize(colors, cls, v, child);
+      visit(depth + 1, classes + 1);
       if (budget_hit) return;  // the fallback leaf already closed this run
     }
   }
+
+  Graph& graph_;
+  int n_;
+  SearchScratch& s_;
 };
 
-std::string serialize_device(const device::Device& dev,
-                             const std::vector<int>& labels) {
-  std::vector<std::pair<int, int>> edges;
-  edges.reserve(dev.num_edges());
-  for (const device::Edge& e : dev.edges()) {
-    const int a = labels[e.p0];
-    const int b = labels[e.p1];
-    edges.emplace_back(std::min(a, b), std::max(a, b));
-  }
-  std::sort(edges.begin(), edges.end());
-  std::ostringstream out;
-  out << "D" << dev.num_qubits() << ":";
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (i) out << ",";
-    out << edges[i].first << "-" << edges[i].second;
-  }
-  return out.str();
-}
+/// DeviceGraph's buffers, kept per thread like SearchScratch.
+struct DeviceScratch {
+  std::vector<int> adj_off;  // neighbors of v: adj[adj_off[v], adj_off[v+1])
+  std::vector<int> adj;
+  std::vector<int> fill;
+  std::vector<int> sig_off;
+  std::vector<std::pair<int, int>> pairs;  // serialize scratch
+};
 
-/// One gate occurrence on a qubit: (level, gate token). Tokens are dense
-/// ranks of "name(params)" strings - label-invariant by construction. The
-/// operand position (q0 vs q1) is deliberately NOT part of the invariant:
-/// layout synthesis only constrains the mapped pair's adjacency, so the
-/// canonical form also quotients by two-qubit operand orientation.
-struct Occurrence {
-  int level;
-  int token;
-  int gate;     // original gate index
-  int partner;  // partner qubit, -1 for single-qubit gates
+/// Coupling graph in CSR form. Signature of v: its color, then its
+/// neighbors' colors in increasing order.
+class DeviceGraph {
+ public:
+  DeviceGraph(int n, std::span<const device::Edge> edges,
+              DeviceScratch& scratch)
+      : n_(n), edges_(edges), s_(scratch) {
+    s_.adj_off.assign(n + 1, 0);
+    for (const device::Edge& e : edges) {
+      ++s_.adj_off[e.p0 + 1];
+      ++s_.adj_off[e.p1 + 1];
+    }
+    std::partial_sum(s_.adj_off.begin(), s_.adj_off.end(),
+                     s_.adj_off.begin());
+    s_.adj.resize(s_.adj_off[n]);
+    s_.fill.assign(s_.adj_off.begin(), s_.adj_off.end() - 1);
+    for (const device::Edge& e : edges) {
+      s_.adj[s_.fill[e.p0]++] = e.p1;
+      s_.adj[s_.fill[e.p1]++] = e.p0;
+    }
+    s_.sig_off.resize(n + 1);
+    for (int v = 0; v <= n; ++v) s_.sig_off[v] = s_.adj_off[v] + v;
+  }
 
-  auto invariant_part() const { return std::tie(level, token); }
+  int degree(int v) const { return s_.adj_off[v + 1] - s_.adj_off[v]; }
+  const std::vector<int>& sig_offsets() const { return s_.sig_off; }
+
+  void signature(int v, const int* colors, int* out) const {
+    *out++ = colors[v];
+    int* end = out;
+    for (int i = s_.adj_off[v]; i < s_.adj_off[v + 1]; ++i) {
+      *end++ = colors[s_.adj[i]];
+    }
+    std::sort(out, end);
+  }
+
+  /// "D<n>:" then the relabeled edges "a-b" (a < b), sorted, ','-joined.
+  void serialize(const int* labels, std::string& key) {
+    s_.pairs.clear();
+    for (const device::Edge& e : edges_) {
+      const int a = labels[e.p0];
+      const int b = labels[e.p1];
+      s_.pairs.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    std::sort(s_.pairs.begin(), s_.pairs.end());
+    key.clear();
+    key += 'D';
+    append_int(key, n_);
+    key += ':';
+    for (std::size_t i = 0; i < s_.pairs.size(); ++i) {
+      if (i) key += ',';
+      append_int(key, s_.pairs[i].first);
+      key += '-';
+      append_int(key, s_.pairs[i].second);
+    }
+  }
+
+ private:
+  int n_;
+  std::span<const device::Edge> edges_;
+  DeviceScratch& s_;
+};
+
+/// Circuit as per-qubit gate-occurrence lists. One occurrence is (level,
+/// gate token, partner): the level is the gate's longest dependency chain
+/// (invariant under commuting reorder), the token a dense rank of
+/// "name(params)". The operand position (q0 vs q1) is deliberately NOT part
+/// of the invariant: layout synthesis only constrains the mapped pair's
+/// adjacency, so the canonical form also quotients by two-qubit operand
+/// orientation.
+///
+/// Search vertices are the touched qubits only (index i = rank among the
+/// qubits some gate acts on). Untouched qubits are fully interchangeable:
+/// they appear in no gate, so any assignment of the trailing labels yields
+/// the same canonical gate list, and excluding them keeps empty-ish
+/// circuits from exploding the branch factor. Signature of i: its color,
+/// then its occurrences as sorted (level, token, partner color) triples.
+class CircuitGraph {
+ public:
+  explicit CircuitGraph(const circuit::Circuit& circ)
+      : circ_(circ),
+        nq_(circ.num_qubits()),
+        ng_(circ.num_gates()),
+        level_(ng_),
+        token_(ng_),
+        gate_keys_(ng_) {
+    const circuit::DependencyGraph deps(circ);
+    std::vector<std::string> names(ng_);
+    for (int g = 0; g < ng_; ++g) {
+      const circuit::Gate& gate = circ.gate(g);
+      level_[g] = deps.chain_depth(g);
+      names[g] = gate.name + "(" + gate.params + ")";
+    }
+    std::vector<std::string> sorted(names);
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    for (int g = 0; g < ng_; ++g) {
+      token_[g] = static_cast<int>(
+          std::lower_bound(sorted.begin(), sorted.end(), names[g]) -
+          sorted.begin());
+    }
+
+    std::vector<int> uses(nq_, 0);
+    for (const circuit::Gate& gate : circ.gates()) {
+      ++uses[gate.q0];
+      if (gate.q1 >= 0) ++uses[gate.q1];
+    }
+    std::vector<int> index(nq_, -1);  // qubit -> touched index
+    occ_off_.push_back(0);
+    for (int q = 0; q < nq_; ++q) {
+      if (uses[q] == 0) continue;
+      index[q] = static_cast<int>(touched_.size());
+      touched_.push_back(q);
+      occ_off_.push_back(occ_off_.back() + uses[q]);
+    }
+    occ_.resize(occ_off_.back());
+    std::vector<int> fill(occ_off_.begin(), occ_off_.end() - 1);
+    for (int g = 0; g < ng_; ++g) {
+      const circuit::Gate& gate = circ.gate(g);
+      const int a = index[gate.q0];
+      const int b = gate.q1 >= 0 ? index[gate.q1] : -1;
+      occ_[fill[a]++] = {level_[g], token_[g], b};
+      if (b >= 0) occ_[fill[b]++] = {level_[g], token_[g], a};
+    }
+    sig_off_.push_back(0);
+    for (int i = 0; i < touched(); ++i) {
+      std::sort(occ_.begin() + occ_off_[i], occ_.begin() + occ_off_[i + 1],
+                [](const Occurrence& x, const Occurrence& y) {
+                  return std::tie(x.level, x.token) <
+                         std::tie(y.level, y.token);
+                });
+      sig_off_.push_back(sig_off_.back() + 1 +
+                         3 * (occ_off_[i + 1] - occ_off_[i]));
+    }
+  }
+
+  int touched() const { return static_cast<int>(touched_.size()); }
+  const std::vector<int>& sig_offsets() const { return sig_off_; }
+
+  /// Seed colors: touched qubits ranked by their (level, token) lists.
+  void seed_colors(int* ranks) const {
+    const int nt = touched();
+    std::vector<int> off(nt + 1), data, order(nt);
+    data.reserve(2 * occ_.size());
+    for (int i = 0; i < nt; ++i) {
+      for (int k = occ_off_[i]; k < occ_off_[i + 1]; ++k) {
+        data.push_back(occ_[k].level);
+        data.push_back(occ_[k].token);
+      }
+      off[i + 1] = static_cast<int>(data.size());
+    }
+    rank_spans(nt, off.data(), data.data(), order.data(), ranks);
+  }
+
+  void signature(int i, const int* colors, int* out) {
+    parts_.clear();
+    for (int k = occ_off_[i]; k < occ_off_[i + 1]; ++k) {
+      const Occurrence& o = occ_[k];
+      parts_.push_back({o.level, o.token, o.partner >= 0 ? colors[o.partner]
+                                                         : -1});
+    }
+    std::sort(parts_.begin(), parts_.end());
+    *out++ = colors[i];
+    for (const auto& part : parts_) {
+      out = std::copy(part.begin(), part.end(), out);
+    }
+  }
+
+  /// Full labeling of all qubits: touched qubits take their colors,
+  /// untouched ones take the labels after them in index order (invariant:
+  /// the serialized form never mentions them).
+  void full_labels(const int* colors, std::vector<int>& label) const {
+    label.assign(nq_, -1);
+    for (int i = 0; i < touched(); ++i) label[touched_[i]] = colors[i];
+    int next = touched();
+    for (int q = 0; q < nq_; ++q) {
+      if (label[q] < 0) label[q] = next++;
+    }
+  }
+
+  /// Canonical gate order under a full qubit labeling: sort by (level,
+  /// token, sorted labels). Gates sharing a level act on disjoint qubits,
+  /// so the label components make the order total. Labels are compared
+  /// orientation-normalized (min first), matching the serialized form.
+  void gate_order(const std::vector<int>& label, std::vector<int>& order) {
+    for (int g = 0; g < ng_; ++g) {
+      const circuit::Gate& gate = circ_.gate(g);
+      const int a = label[gate.q0];
+      const int b = gate.q1 >= 0 ? label[gate.q1] : -1;
+      gate_keys_[g] = {level_[g], token_[g], b >= 0 ? std::min(a, b) : a,
+                       b >= 0 ? std::max(a, b) : -1};
+    }
+    order.resize(ng_);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](int x, int y) { return gate_keys_[x] < gate_keys_[y]; });
+  }
+
+  /// "C<nq>g<ng>:" then "level.name(params)@a,b;" per gate in canonical
+  /// order.
+  void serialize(const int* colors, std::string& key) {
+    full_labels(colors, label_);
+    gate_order(label_, order_);
+    key.clear();
+    key += 'C';
+    append_int(key, nq_);
+    key += 'g';
+    append_int(key, ng_);
+    key += ':';
+    for (const int g : order_) {
+      const circuit::Gate& gate = circ_.gate(g);
+      append_int(key, level_[g]);
+      key += '.';
+      key += gate.name;
+      if (!gate.params.empty()) {
+        key += '(';
+        key += gate.params;
+        key += ')';
+      }
+      key += '@';
+      append_int(key, gate_keys_[g][2]);
+      if (gate_keys_[g][3] >= 0) {
+        key += ',';
+        append_int(key, gate_keys_[g][3]);
+      }
+      key += ';';
+    }
+  }
+
+ private:
+  struct Occurrence {
+    int level;
+    int token;
+    int partner;  // touched index of the other operand, -1 for 1q gates
+  };
+
+  const circuit::Circuit& circ_;
+  int nq_;
+  int ng_;
+  std::vector<int> level_;  // per gate
+  std::vector<int> token_;  // per gate
+  std::vector<int> touched_;
+  std::vector<int> occ_off_;  // occurrences of touched i: occ_[off[i], ...)
+  std::vector<Occurrence> occ_;
+  std::vector<int> sig_off_;
+  // Scratch.
+  std::vector<std::array<int, 3>> parts_;
+  std::vector<std::array<int, 4>> gate_keys_;
+  std::vector<int> label_;
+  std::vector<int> order_;
 };
 
 }  // namespace
@@ -184,210 +477,55 @@ std::vector<int> invert_permutation(const std::vector<int>& perm) {
   return inv;
 }
 
-DeviceCanon canonicalize_device(const device::Device& dev) {
+DeviceCanon canonicalize_device(int num_qubits,
+                                std::span<const device::Edge> edges) {
   obs::Span span("serve.canonicalize.device");
-  const int n = dev.num_qubits();
-  DeviceCanon canon;
-  if (n == 0) {
-    canon.key = "D0:";
-    return canon;
-  }
-
-  const auto signature = [&](int v, const std::vector<int>& colors) {
-    std::vector<int> sig{colors[v]};
-    std::vector<int> neigh;
-    neigh.reserve(dev.neighbors(v).size());
-    for (const int u : dev.neighbors(v)) neigh.push_back(colors[u]);
-    std::sort(neigh.begin(), neigh.end());
-    sig.insert(sig.end(), neigh.begin(), neigh.end());
-    return sig;
-  };
-
-  CanonSearch search;
-  search.n = n;
-  search.refine = [&](std::vector<int> colors) {
-    return refine_colors(n, std::move(colors), signature);
-  };
-  search.serialize = [&](const std::vector<int>& labels) {
-    return serialize_device(dev, labels);
-  };
+  thread_local DeviceScratch graph_scratch;
+  thread_local SearchScratch search_scratch;
+  DeviceGraph graph(num_qubits, edges, graph_scratch);
+  LabelSearch<DeviceGraph> search(graph, num_qubits, search_scratch);
   // Seed: degree classes.
-  std::vector<int> colors(n);
-  for (int v = 0; v < n; ++v) {
-    colors[v] = static_cast<int>(dev.neighbors(v).size());
-  }
-  search.run(std::move(colors));
+  int* seed = search.seed();
+  for (int v = 0; v < num_qubits; ++v) seed[v] = graph.degree(v);
+  search.run();
 
-  canon.perm = search.best_labels;
-  canon.key = search.best_key;
+  DeviceCanon canon;
+  canon.perm = search.best_labels();
+  canon.key = search.best_key();
   canon.exact = !search.budget_hit;
   if (span.live()) {
-    span.arg("qubits", n);
+    span.arg("qubits", num_qubits);
     span.arg("leaves", search.leaves_used);
     span.arg("exact", canon.exact);
   }
   return canon;
 }
 
+DeviceCanon canonicalize_device(const device::Device& dev) {
+  return canonicalize_device(dev.num_qubits(), dev.edges());
+}
+
 CircuitCanon canonicalize_circuit(const circuit::Circuit& circ) {
   obs::Span span("serve.canonicalize.circuit");
-  const int nq = circ.num_qubits();
-  const int ng = circ.num_gates();
-  const circuit::DependencyGraph deps(circ);
-
-  // Dense, label-invariant gate tokens.
-  std::map<std::string, int> token_rank;
-  std::vector<int> token(ng);
-  for (int g = 0; g < ng; ++g) {
-    const circuit::Gate& gate = circ.gate(g);
-    token_rank.emplace(gate.name + "(" + gate.params + ")", 0);
-  }
-  {
-    int next = 0;
-    for (auto& [name, r] : token_rank) r = next++;
-    for (int g = 0; g < ng; ++g) {
-      const circuit::Gate& gate = circ.gate(g);
-      token[g] = token_rank[gate.name + "(" + gate.params + ")"];
-    }
-  }
-
-  std::vector<std::vector<Occurrence>> occ(nq);
-  for (int g = 0; g < ng; ++g) {
-    const circuit::Gate& gate = circ.gate(g);
-    const int level = deps.chain_depth(g);
-    occ[gate.q0].push_back({level, token[g], g, gate.q1});
-    if (gate.q1 >= 0) {
-      occ[gate.q1].push_back({level, token[g], g, gate.q0});
-    }
-  }
-  for (auto& list : occ) {
-    std::sort(list.begin(), list.end(), [](const auto& a, const auto& b) {
-      return a.invariant_part() < b.invariant_part();
-    });
-  }
-
-  // Untouched qubits are fully interchangeable: they appear in no gate, so
-  // any assignment of the trailing labels yields the same canonical gate
-  // list. Excluding them from the search keeps empty-ish circuits from
-  // exploding the branch factor.
-  std::vector<int> touched;
-  for (int q = 0; q < nq; ++q) {
-    if (!occ[q].empty()) touched.push_back(q);
-  }
-  const int nt = static_cast<int>(touched.size());
-
-  const auto signature = [&](int i, const std::vector<int>& colors) {
-    // i indexes `touched`; partner colors refer to touched ranks.
-    std::vector<int> sig{colors[i]};
-    std::vector<std::vector<int>> parts;
-    for (const Occurrence& o : occ[touched[i]]) {
-      int partner_color = -1;
-      if (o.partner >= 0) {
-        const auto it =
-            std::lower_bound(touched.begin(), touched.end(), o.partner);
-        partner_color = colors[it - touched.begin()];
-      }
-      parts.push_back({o.level, o.token, partner_color});
-    }
-    std::sort(parts.begin(), parts.end());
-    for (const auto& p : parts) sig.insert(sig.end(), p.begin(), p.end());
-    return sig;
-  };
-
-  // Canonical gate order under a full qubit labeling: sort by (level,
-  // token, sorted labels). Gates sharing a level act on disjoint qubits,
-  // so the label components make the key total. Labels are compared
-  // orientation-normalized (min first), matching the serialized form.
-  const auto gate_labels = [](const circuit::Gate& gate,
-                              const std::vector<int>& qubit_label) {
-    const int a = qubit_label[gate.q0];
-    const int b = gate.q1 >= 0 ? qubit_label[gate.q1] : -1;
-    return b >= 0 ? std::make_pair(std::min(a, b), std::max(a, b))
-                  : std::make_pair(a, -1);
-  };
-  const auto gate_order = [&](const std::vector<int>& qubit_label) {
-    std::vector<int> order(ng);
-    for (int g = 0; g < ng; ++g) order[g] = g;
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const auto key = [&](int g) {
-        return std::make_tuple(deps.chain_depth(g), token[g],
-                               gate_labels(circ.gate(g), qubit_label));
-      };
-      return key(a) < key(b);
-    });
-    return order;
-  };
-
-  const auto full_labels = [&](const std::vector<int>& colors) {
-    // colors: touched ranks 0..nt-1; untouched qubits take nt.. in index
-    // order (invariant: they are not mentioned by the serialized form).
-    std::vector<int> label(nq, -1);
-    for (int i = 0; i < nt; ++i) label[touched[i]] = colors[i];
-    int next = nt;
-    for (int q = 0; q < nq; ++q) {
-      if (label[q] < 0) label[q] = next++;
-    }
-    return label;
-  };
-
-  const auto serialize = [&](const std::vector<int>& colors) {
-    const std::vector<int> label = full_labels(colors);
-    std::ostringstream out;
-    out << "C" << nq << "g" << ng << ":";
-    for (const int g : gate_order(label)) {
-      const circuit::Gate& gate = circ.gate(g);
-      const auto [la, lb] = gate_labels(gate, label);
-      out << deps.chain_depth(g) << "." << gate.name;
-      if (!gate.params.empty()) out << "(" << gate.params << ")";
-      out << "@" << la;
-      if (lb >= 0) out << "," << lb;
-      out << ";";
-    }
-    return out.str();
-  };
+  thread_local SearchScratch search_scratch;
+  CircuitGraph graph(circ);
+  LabelSearch<CircuitGraph> search(graph, graph.touched(), search_scratch);
+  graph.seed_colors(search.seed());
+  search.run();
 
   CircuitCanon canon;
-  if (nt == 0) {
-    canon.qubit_perm.resize(nq);
-    for (int q = 0; q < nq; ++q) canon.qubit_perm[q] = q;
-    canon.key = serialize({});
-    return canon;
-  }
-
-  CanonSearch search;
-  search.n = nt;
-  search.refine = [&](std::vector<int> colors) {
-    return refine_colors(nt, std::move(colors), signature);
-  };
-  search.serialize = serialize;
-  // Seed: rank touched qubits by their invariant occurrence lists.
-  {
-    std::vector<std::vector<std::tuple<int, int>>> seeds(nt);
-    std::map<std::vector<std::tuple<int, int>>, int> rank;
-    for (int i = 0; i < nt; ++i) {
-      for (const Occurrence& o : occ[touched[i]]) {
-        seeds[i].push_back(o.invariant_part());
-      }
-      rank.emplace(seeds[i], 0);
-    }
-    int next = 0;
-    for (auto& [seed, r] : rank) r = next++;
-    std::vector<int> colors(nt);
-    for (int i = 0; i < nt; ++i) colors[i] = rank[seeds[i]];
-    search.run(std::move(colors));
-  }
-
-  canon.qubit_perm = full_labels(search.best_labels);
-  canon.key = search.best_key;
+  graph.full_labels(search.best_labels().data(), canon.qubit_perm);
+  canon.key = search.best_key();
   canon.exact = !search.budget_hit;
-  canon.gate_perm.resize(ng);
-  {
-    const std::vector<int> order = gate_order(canon.qubit_perm);
-    for (int pos = 0; pos < ng; ++pos) canon.gate_perm[order[pos]] = pos;
+  std::vector<int> order;
+  graph.gate_order(canon.qubit_perm, order);
+  canon.gate_perm.resize(order.size());
+  for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    canon.gate_perm[order[pos]] = static_cast<int>(pos);
   }
   if (span.live()) {
-    span.arg("qubits", nq);
-    span.arg("gates", ng);
+    span.arg("qubits", circ.num_qubits());
+    span.arg("gates", circ.num_gates());
     span.arg("leaves", search.leaves_used);
     span.arg("exact", canon.exact);
   }
@@ -427,20 +565,32 @@ circuit::Circuit apply_circuit_canon(const circuit::Circuit& circ,
   return out;
 }
 
+std::vector<int> canonical_edge_order(const device::Device& dev,
+                                      const DeviceCanon& canon) {
+  std::vector<std::array<int, 3>> keyed;  // (min label, max label, edge)
+  keyed.reserve(dev.num_edges());
+  for (int e = 0; e < dev.num_edges(); ++e) {
+    const int a = canon.perm[dev.edge(e).p0];
+    const int b = canon.perm[dev.edge(e).p1];
+    keyed.push_back({std::min(a, b), std::max(a, b), e});
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<int> order(keyed.size());
+  for (std::size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i][2];
+  return order;
+}
+
 device::Device apply_device_canon(const device::Device& dev,
                                   const DeviceCanon& canon) {
+  // Sorted, so every relabeling-equivalent original builds the *identical*
+  // canonical device, edge indexing included.
   std::vector<device::Edge> edges;
   edges.reserve(dev.num_edges());
-  for (const device::Edge& e : dev.edges()) {
-    const int a = canon.perm[e.p0];
-    const int b = canon.perm[e.p1];
+  for (const int e : canonical_edge_order(dev, canon)) {
+    const int a = canon.perm[dev.edge(e).p0];
+    const int b = canon.perm[dev.edge(e).p1];
     edges.push_back({std::min(a, b), std::max(a, b)});
   }
-  // Sort so every relabeling-equivalent original builds the *identical*
-  // canonical device, edge indexing included.
-  std::sort(edges.begin(), edges.end(), [](const auto& x, const auto& y) {
-    return std::tie(x.p0, x.p1) < std::tie(y.p0, y.p1);
-  });
   return device::Device("canon", dev.num_qubits(), std::move(edges));
 }
 

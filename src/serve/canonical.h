@@ -31,6 +31,7 @@
 // (`exact` reports which path produced the form).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,9 +77,16 @@ struct InstanceCanon {
   std::string instance_key() const;
 };
 
-/// Canonicalize a device coupling graph. O(n^2 log n) refinement plus a
-/// budgeted individualization search.
+/// Canonicalize a device coupling graph. Each refinement round sorts the
+/// n vertex signatures, O((n + m) log n) for m edges; a search node runs at
+/// most n rounds, and the individualization search stops branching after
+/// a fixed leaf budget.
 DeviceCanon canonicalize_device(const device::Device& device);
+
+/// The same canonical form from a bare edge list on qubits 0..n-1, for
+/// callers that have not built (and may never need) a device::Device.
+DeviceCanon canonicalize_device(int num_qubits,
+                                std::span<const device::Edge> edges);
 
 /// Canonicalize a circuit. Gate levels (longest dependency chain ending at
 /// each gate) are invariant under commuting reorder, so the canonical order
@@ -95,6 +103,13 @@ circuit::Circuit apply_circuit_canon(const circuit::Circuit& circuit,
                                      const CircuitCanon& canon);
 device::Device apply_device_canon(const device::Device& device,
                                   const DeviceCanon& canon);
+
+/// Edge order of the canonical device: entry i is the index in `device` of
+/// apply_device_canon's edge i (edges relabeled through `canon.perm`,
+/// oriented min-first, sorted). Translates edge ids between the two
+/// without building the canonical device.
+std::vector<int> canonical_edge_order(const device::Device& device,
+                                      const DeviceCanon& canon);
 
 /// Inverse of a permutation vector: out[perm[i]] = i.
 std::vector<int> invert_permutation(const std::vector<int>& perm);

@@ -1,8 +1,7 @@
 #include "serve/transfer.h"
 
-#include <map>
 #include <stdexcept>
-#include <utility>
+#include <vector>
 
 namespace olsq2::serve {
 
@@ -29,24 +28,15 @@ layout::Result untransfer_result(const layout::Result& canonical_result,
   }
 
   if (!canonical_result.swaps.empty()) {
-    const device::Device canon_dev =
-        apply_device_canon(*original.device, canon.device);
-    std::map<std::pair<int, int>, int> edge_index;
-    for (int e = 0; e < original.device->num_edges(); ++e) {
-      const device::Edge& edge = original.device->edge(e);
-      edge_index[{std::min(edge.p0, edge.p1), std::max(edge.p0, edge.p1)}] = e;
-    }
+    const std::vector<int> original_edge =
+        canonical_edge_order(*original.device, canon.device);
     for (layout::SwapOp& op : out.swaps) {
-      const device::Edge& e_c = canon_dev.edge(op.edge);
-      const int a = inv_dev[e_c.p0];
-      const int b = inv_dev[e_c.p1];
-      const auto it = edge_index.find({std::min(a, b), std::max(a, b)});
-      if (it == edge_index.end()) {
+      if (op.edge < 0 || op.edge >= static_cast<int>(original_edge.size())) {
         // Impossible when `canon` really is this instance's witness; guard
         // against a corrupted cache entry rather than emit a bogus layout.
         throw std::runtime_error("serve: swap edge does not transfer");
       }
-      op.edge = it->second;
+      op.edge = original_edge[op.edge];
     }
   }
   return out;

@@ -17,9 +17,9 @@
 
 namespace olsq2::serve {
 
-/// Map a canonical-space result back onto the original instance. The
-/// canonical device is rebuilt from `original.device` + the witness, so the
-/// caller only needs the witness that produced the cache key.
+/// Map a canonical-space result back onto the original instance. SWAP edge
+/// ids translate through canonical_edge_order(`original.device`, witness),
+/// so the caller only needs the witness that produced the cache key.
 layout::Result untransfer_result(const layout::Result& canonical_result,
                                  const InstanceCanon& canon,
                                  const layout::Problem& original);

@@ -14,22 +14,22 @@ namespace olsq2::subarch {
 
 namespace {
 
-std::uint64_t hash64(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
-/// Structural fingerprint of a device (cover-cache key component). Covers
-/// depend only on the coupling graph, never on the name, but the name is
-/// included to keep debugging dumps readable.
-std::string device_fingerprint(const device::Device& dev) {
-  std::uint64_t h = 1469598103934665603ull;
+/// Cover-cache key component: the device name (length-prefixed), qubit
+/// count and full edge list in order. Exact, like the result cache's keys
+/// (DESIGN.md §10.1): a hash here could hand one device another's cover,
+/// and an incomplete cover would then certify a wrong optimum. The edge
+/// order is part of the key because it fixes the enumeration order and so
+/// each class's representative.
+std::string device_key(const device::Device& dev) {
+  std::string key = std::to_string(dev.name().size()) + ":" + dev.name() +
+                    "#" + std::to_string(dev.num_qubits()) + "#";
   for (const device::Edge& e : dev.edges()) {
-    h = hash64(h, static_cast<std::uint64_t>(e.p0) << 32 |
-                      static_cast<std::uint64_t>(e.p1));
+    key += std::to_string(e.p0);
+    key += '-';
+    key += std::to_string(e.p1);
+    key += ',';
   }
-  return dev.name() + "#" + std::to_string(dev.num_qubits()) + "#" +
-         std::to_string(dev.num_edges()) + "#" + std::to_string(h);
+  return key;
 }
 
 struct UnionFind {
@@ -44,10 +44,10 @@ struct UnionFind {
   void unite(int a, int b) { parent[find(a)] = find(b); }
 };
 
-bool connected_on(int n, const std::vector<std::pair<int, int>>& edges) {
+bool connected_on(int n, const std::vector<device::Edge>& edges) {
   if (n <= 1) return true;
   UnionFind uf(n);
-  for (const auto& [a, b] : edges) uf.unite(a, b);
+  for (const device::Edge& e : edges) uf.unite(e.p0, e.p1);
   const int root = uf.find(0);
   for (int v = 1; v < n; ++v) {
     if (uf.find(v) != root) return false;
@@ -68,10 +68,10 @@ bool inject_edge_drop_bug() {
 /// Drop the last induced edge whose removal keeps the subgraph connected
 /// (trees are left alone; disconnecting would break the SubDevice
 /// invariant rather than model a plausible extractor bug).
-void maybe_drop_edge(std::vector<std::pair<int, int>>& edges, int m) {
+void maybe_drop_edge(std::vector<device::Edge>& edges, int m) {
   if (static_cast<int>(edges.size()) < m) return;  // tree: every edge is a bridge
   for (int i = static_cast<int>(edges.size()) - 1; i >= 0; --i) {
-    std::vector<std::pair<int, int>> trimmed = edges;
+    std::vector<device::Edge> trimmed = edges;
     trimmed.erase(trimmed.begin() + i);
     if (connected_on(m, trimmed)) {
       edges = std::move(trimmed);
@@ -81,23 +81,15 @@ void maybe_drop_edge(std::vector<std::pair<int, int>>& edges, int m) {
 }
 
 /// Induced edge list of a sorted vertex set, in sub-index space.
-std::vector<std::pair<int, int>> induced_edges(
-    const device::Device& dev, const std::vector<int>& verts) {
-  std::vector<std::pair<int, int>> edges;
+std::vector<device::Edge> induced_edges(const device::Device& dev,
+                                        const std::vector<int>& verts) {
+  std::vector<device::Edge> edges;
   for (int i = 0; i < static_cast<int>(verts.size()); ++i) {
     for (int j = i + 1; j < static_cast<int>(verts.size()); ++j) {
-      if (dev.adjacent(verts[i], verts[j])) edges.emplace_back(i, j);
+      if (dev.adjacent(verts[i], verts[j])) edges.push_back({i, j});
     }
   }
   return edges;
-}
-
-device::Device build_sub(const std::vector<std::pair<int, int>>& edges,
-                         int m) {
-  std::vector<device::Edge> dev_edges;
-  dev_edges.reserve(edges.size());
-  for (const auto& [a, b] : edges) dev_edges.push_back({a, b});
-  return device::Device("sub", m, std::move(dev_edges));
 }
 
 /// ESU (Wernicke) enumeration of connected induced m-vertex subgraphs:
@@ -187,28 +179,29 @@ Cover enumerate_uncached(const device::Device& dev, int m,
   // those collapse on the cheap signature without touching the
   // canonicalizer. Only one representative per signature pays for WL +
   // individualization, and signatures merge into classes by canonical key.
+  // Only a new class builds its subdevice.
   std::map<std::string, std::size_t> by_signature;  // sig -> class index
   std::map<std::string, std::size_t> by_key;        // canon key -> index
   bool all_exact = true;
+  const bool drop_edge = inject_edge_drop_bug();
 
   Esu esu(dev, m, options.max_subgraphs);
   const bool finished = esu.run([&](const std::vector<int>& verts_in) {
     std::vector<int> verts = verts_in;
     std::sort(verts.begin(), verts.end());
-    std::vector<std::pair<int, int>> edges = induced_edges(dev, verts);
-    if (inject_edge_drop_bug()) maybe_drop_edge(edges, m);
+    std::vector<device::Edge> edges = induced_edges(dev, verts);
+    if (drop_edge) maybe_drop_edge(edges, m);
     std::string sig;
     sig.reserve(edges.size() * 2);
-    for (const auto& [a, b] : edges) {
-      sig.push_back(static_cast<char>('0' + a));
-      sig.push_back(static_cast<char>('0' + b));
+    for (const device::Edge& e : edges) {
+      sig.push_back(static_cast<char>('0' + e.p0));
+      sig.push_back(static_cast<char>('0' + e.p1));
     }
     if (const auto it = by_signature.find(sig); it != by_signature.end()) {
       ++cover.classes[it->second].members;
       return;
     }
-    device::Device sub = build_sub(edges, m);
-    serve::DeviceCanon canon = serve::canonicalize_device(sub);
+    serve::DeviceCanon canon = serve::canonicalize_device(m, edges);
     all_exact = all_exact && canon.exact;
     if (const auto it = by_key.find(canon.key); it != by_key.end()) {
       by_signature.emplace(std::move(sig), it->second);
@@ -216,11 +209,11 @@ Cover enumerate_uncached(const device::Device& dev, int m,
       return;
     }
     CoverClass cls;
-    cls.rep.device = std::move(sub);
+    cls.induced_edges = static_cast<int>(edges.size());
+    cls.rep.device = device::Device("sub", m, std::move(edges));
     cls.rep.to_full = verts;
     cls.canon = std::move(canon);
     cls.members = 1;
-    cls.induced_edges = static_cast<int>(edges.size());
     by_key.emplace(cls.canon.key, cover.classes.size());
     by_signature.emplace(std::move(sig), cover.classes.size());
     cover.classes.push_back(std::move(cls));
@@ -244,9 +237,12 @@ Cover enumerate_uncached(const device::Device& dev, int m,
   return cover;
 }
 
+/// Covers by device key, then by size and options: the (long) device key
+/// is stored once per device, not once per cover.
 struct CoverCache {
   sync::Mutex mutex{"subarch.cover"};
-  std::map<std::string, Cover> covers OLSQ2_GUARDED_BY(mutex);
+  std::map<std::string, std::map<std::string, Cover>> covers
+      OLSQ2_GUARDED_BY(mutex);
 };
 
 CoverCache& cover_cache() {
@@ -259,15 +255,16 @@ CoverCache& cover_cache() {
 Cover enumerate_cover(const device::Device& dev, int m,
                       const ExtractOptions& options) {
   obs::Span span("subarch.extract");
-  const std::string key =
-      device_fingerprint(dev) + ":" + std::to_string(m) + ":" +
-      std::to_string(options.max_subgraphs) + ":" +
-      std::to_string(options.max_sub_qubits) +
-      (inject_edge_drop_bug() ? ":bugged" : "");
+  const std::string dev_key = device_key(dev);
+  const std::string key = std::to_string(m) + ":" +
+                          std::to_string(options.max_subgraphs) + ":" +
+                          std::to_string(options.max_sub_qubits) +
+                          (inject_edge_drop_bug() ? ":bugged" : "");
   CoverCache& cache = cover_cache();
   {
     sync::MutexLock lock(cache.mutex);
-    if (const auto it = cache.covers.find(key); it != cache.covers.end()) {
+    const std::map<std::string, Cover>& per_device = cache.covers[dev_key];
+    if (const auto it = per_device.find(key); it != per_device.end()) {
       if (obs::metrics::enabled()) {
         obs::metrics::Registry::instance()
             .counter("subarch_cover_cache_hits_total",
@@ -290,7 +287,7 @@ Cover enumerate_cover(const device::Device& dev, int m,
     span.arg("complete", cover.complete);
   }
   sync::MutexLock lock(cache.mutex);
-  return cache.covers.emplace(key, std::move(cover)).first->second;
+  return cache.covers[dev_key].emplace(key, std::move(cover)).first->second;
 }
 
 bool interaction_connected(const circuit::Circuit& circuit) {
@@ -321,7 +318,7 @@ SubDevice make_subdevice(const device::Device& dev,
                          std::vector<int> vertices) {
   std::sort(vertices.begin(), vertices.end());
   const int m = static_cast<int>(vertices.size());
-  SubDevice sd{build_sub(induced_edges(dev, vertices), m),
+  SubDevice sd{device::Device("sub", m, induced_edges(dev, vertices)),
                std::move(vertices)};
   return sd;
 }

@@ -280,6 +280,38 @@ TEST(ResultCache, DiskTierSurvivesLruEvictionAndNewInstances) {
   EXPECT_FALSE(cache.lookup("never-inserted").has_value());
 }
 
+TEST(ResultCache, CommittedCacheFileStillHits) {
+  // tests/fixtures/serve_cache holds one disk-tier entry written by an
+  // earlier build of the canonical labeling search. Its key embeds the
+  // canonical forms of a relabeled 127-qubit device and a relabeled
+  // circuit, so a hit shows persisted entries survive changes to the
+  // search byte for byte. The heavy-hex lattice has no triangle, so the
+  // answer carries a SWAP through the edge translation too.
+  const fuzz::Instance base{triangle(), device::ibm_eagle127(), 1};
+  bengen::Rng rng(17);
+  const fuzz::Instance variant = fuzz::relabel_physical_qubits(
+      fuzz::relabel_program_qubits(base, rng), rng);
+  Request req;
+  req.circuit = &variant.circuit;
+  req.device = &variant.device;
+  req.engine = Engine::kTbSwap;
+  req.options.time_budget_ms = 30000;
+
+  TempDir dir("fixture");
+  std::filesystem::copy(OLSQ2_SERVE_FIXTURE_DIR, dir.path);
+  ServerOptions opts;
+  opts.cache.disk_dir = dir.path.string();
+  Server server(opts);
+  const Response response = server.serve(req);
+  EXPECT_TRUE(response.cache_hit);
+  EXPECT_TRUE(response.from_disk);
+  ASSERT_TRUE(response.result.solved);
+  const auto verdict =
+      layout::verify_transition_based(variant.problem(), response.result);
+  EXPECT_TRUE(verdict.ok) << (verdict.errors.empty() ? std::string()
+                                                     : verdict.errors[0]);
+}
+
 // ---- batch serving ------------------------------------------------------
 
 TEST(Server, BatchDeduplicatesRelabeledRequests) {

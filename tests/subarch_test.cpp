@@ -129,6 +129,24 @@ TEST(SubarchCover, ProcessCacheReturnsIdenticalCover) {
   }
 }
 
+TEST(SubarchCover, ProcessCacheKeysOnTheExactEdgeList) {
+  // Same name, qubit and edge count, different coupling graphs: a path and
+  // a star. Each must get its own cover, never the other's cached one.
+  const device::Device path("twin", 4, {{0, 1}, {1, 2}, {2, 3}});
+  const device::Device star("twin", 4, {{0, 1}, {0, 2}, {0, 3}});
+  const Cover a = enumerate_cover(path, 3);
+  const Cover b = enumerate_cover(star, 3);
+  ASSERT_EQ(a.classes.size(), 1u);
+  ASSERT_EQ(b.classes.size(), 1u);
+  EXPECT_EQ(a.classes[0].members, 2);
+  EXPECT_EQ(b.classes[0].members, 3);
+  EXPECT_EQ(a.classes[0].rep.to_full, (std::vector<int>{0, 1, 2}));
+  for (const device::Edge& e : b.classes[0].rep.device.edges()) {
+    EXPECT_TRUE(star.adjacent(b.classes[0].rep.to_full[e.p0],
+                              b.classes[0].rep.to_full[e.p1]));
+  }
+}
+
 TEST(SubarchCover, InteractionConnectivityPredicate) {
   circuit::Circuit ghz = bengen::ghz(4);
   EXPECT_TRUE(interaction_connected(ghz));

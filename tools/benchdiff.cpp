@@ -79,7 +79,8 @@ KeyClass classify(const std::string& base) {
       "schema_version", "bench",    "budget_ms",      "runs",
       "dups",           "requests", "duplicate_share", "entries"};
   static const std::set<std::string> correctness = {"solved", "depth",
-                                                    "solves", "hits"};
+                                                    "solves", "hits",
+                                                    "one_key"};
   // swap_count is informational: when depth is the objective, racing
   // portfolio entries legitimately return different optimal-depth layouts
   // with different swap counts.
