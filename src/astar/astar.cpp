@@ -8,6 +8,7 @@
 
 #include "bengen/rng.h"
 #include "circuit/dependency.h"
+#include "device/distance.h"
 
 namespace olsq2::astar {
 
@@ -34,6 +35,7 @@ class Router {
   Router(const layout::Problem& problem, const AstarOptions& options)
       : circ_(*problem.circuit),
         dev_(*problem.device),
+        dist_(dev_),
         swap_duration_(problem.swap_duration),
         options_(options) {}
 
@@ -124,7 +126,7 @@ class Router {
                 const std::vector<std::pair<int, int>>& pairs) const {
     int slack = 0;
     for (const auto& [a, b] : pairs) {
-      slack += std::max(0, dev_.distance(mapping[a], mapping[b]) - 1);
+      slack += std::max(0, dist_.distance(mapping[a], mapping[b]) - 1);
     }
     return (slack + 1) / 2;
   }
@@ -142,7 +144,7 @@ class Router {
           int step_edge = -1;
           for (const int e : dev_.edges_at(from)) {
             const int next = dev_.edge(e).other(from);
-            if (dev_.distance(next, target) < dev_.distance(from, target)) {
+            if (dist_.distance(next, target) < dist_.distance(from, target)) {
               step_edge = e;
               break;
             }
@@ -236,6 +238,7 @@ class Router {
 
   const Circuit& circ_;
   const Device& dev_;
+  const device::DistanceTable dist_;
   int swap_duration_;
   AstarOptions options_;
 };

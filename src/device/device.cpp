@@ -1,59 +1,37 @@
 #include "device/device.h"
 
-#include <algorithm>
 #include <cassert>
-#include <deque>
 
 namespace olsq2::device {
 
 Device::Device(std::string name, int num_qubits, std::vector<Edge> edges)
     : name_(std::move(name)),
       num_qubits_(num_qubits),
+      row_words_((num_qubits + 63) / 64),
       edges_(std::move(edges)),
-      incident_(num_qubits),
-      neighbors_(num_qubits) {
-  for (int e = 0; e < num_edges(); ++e) {
-    const Edge& edge = edges_[e];
+      offset_(num_qubits + 1, 0),
+      neighbors_(2 * edges_.size()),
+      incident_(2 * edges_.size()),
+      rows_(static_cast<std::size_t>(num_qubits) * row_words_, 0) {
+  for (const Edge& edge : edges_) {
     assert(edge.p0 >= 0 && edge.p0 < num_qubits_);
     assert(edge.p1 >= 0 && edge.p1 < num_qubits_);
     assert(edge.p0 != edge.p1);
-    incident_[edge.p0].push_back(e);
-    incident_[edge.p1].push_back(e);
-    neighbors_[edge.p0].push_back(edge.p1);
-    neighbors_[edge.p1].push_back(edge.p0);
+    ++offset_[edge.p0 + 1];
+    ++offset_[edge.p1 + 1];
   }
-  // All-pairs BFS.
-  dist_.assign(num_qubits_, std::vector<int>(num_qubits_, num_qubits_));
-  for (int src = 0; src < num_qubits_; ++src) {
-    auto& d = dist_[src];
-    d[src] = 0;
-    std::deque<int> queue{src};
-    while (!queue.empty()) {
-      const int u = queue.front();
-      queue.pop_front();
-      for (const int v : neighbors_[u]) {
-        if (d[v] > d[u] + 1) {
-          d[v] = d[u] + 1;
-          queue.push_back(v);
-        }
-      }
-    }
+  for (int p = 0; p < num_qubits_; ++p) offset_[p + 1] += offset_[p];
+  std::vector<int> fill(offset_.begin(), offset_.end() - 1);
+  const auto link = [&](int from, int to, int e) {
+    incident_[fill[from]] = e;
+    neighbors_[fill[from]++] = to;
+    rows_[static_cast<std::size_t>(from) * row_words_ + (to >> 6)] |=
+        std::uint64_t{1} << (to & 63);
+  };
+  for (int e = 0; e < num_edges(); ++e) {
+    link(edges_[e].p0, edges_[e].p1, e);
+    link(edges_[e].p1, edges_[e].p0, e);
   }
-}
-
-bool Device::adjacent(int p0, int p1) const {
-  const auto& n = neighbors_[p0];
-  return std::find(n.begin(), n.end(), p1) != n.end();
-}
-
-int Device::diameter() const {
-  int best = 0;
-  for (int i = 0; i < num_qubits_; ++i) {
-    for (int j = i + 1; j < num_qubits_; ++j) {
-      if (dist_[i][j] < num_qubits_) best = std::max(best, dist_[i][j]);
-    }
-  }
-  return best;
 }
 
 }  // namespace olsq2::device

@@ -1,10 +1,15 @@
 // Coupling graph of a quantum processor (paper §II-A).
 //
 // Vertices are physical qubits; edges are qubit pairs that support two-qubit
-// gates. All-pairs shortest-path distances (BFS) back both the SABRE
-// heuristic and sanity checks in the exact engines.
+// gates. A Device is a flat immutable value: neighbours and incident edges
+// in CSR form (one offset array shared by two flat arrays, in edge order)
+// plus one adjacency bit row per qubit, so adjacent() is a single bit test.
+// Shortest-path distances are not part of the device; the engines that
+// route build a device::DistanceTable (device/distance.h) once per run.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,27 +34,36 @@ class Device {
   const Edge& edge(int e) const { return edges_[e]; }
   const std::vector<Edge>& edges() const { return edges_; }
 
-  /// Edge indices incident to physical qubit p (E_p in the paper).
-  const std::vector<int>& edges_at(int p) const { return incident_[p]; }
+  /// Edge indices incident to physical qubit p (E_p in the paper), in edge
+  /// order.
+  std::span<const int> edges_at(int p) const {
+    return {incident_.data() + offset_[p],
+            static_cast<std::size_t>(offset_[p + 1] - offset_[p])};
+  }
 
-  /// Neighboring physical qubits of p.
-  const std::vector<int>& neighbors(int p) const { return neighbors_[p]; }
+  /// Neighboring physical qubits of p; neighbors(p)[i] is the other end of
+  /// edges_at(p)[i].
+  std::span<const int> neighbors(int p) const {
+    return {neighbors_.data() + offset_[p],
+            static_cast<std::size_t>(offset_[p + 1] - offset_[p])};
+  }
 
-  bool adjacent(int p0, int p1) const;
-
-  /// BFS shortest-path distance in edges; num_qubits() if disconnected.
-  int distance(int p0, int p1) const { return dist_[p0][p1]; }
-
-  /// Largest pairwise distance (graph diameter, over the connected part).
-  int diameter() const;
+  /// One bit test in p0's adjacency row.
+  bool adjacent(int p0, int p1) const {
+    return ((rows_[static_cast<std::size_t>(p0) * row_words_ + (p1 >> 6)] >>
+             (p1 & 63)) &
+            1U) != 0;
+  }
 
  private:
   std::string name_;
   int num_qubits_;
+  int row_words_;  // ceil(num_qubits / 64)
   std::vector<Edge> edges_;
-  std::vector<std::vector<int>> incident_;
-  std::vector<std::vector<int>> neighbors_;
-  std::vector<std::vector<int>> dist_;
+  std::vector<int> offset_;     // CSR row starts, num_qubits + 1 entries
+  std::vector<int> neighbors_;  // 2 * num_edges entries
+  std::vector<int> incident_;   // 2 * num_edges entries
+  std::vector<std::uint64_t> rows_;  // num_qubits rows of row_words_
 };
 
 }  // namespace olsq2::device

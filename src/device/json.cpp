@@ -1,5 +1,7 @@
 #include "device/json.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -63,6 +65,9 @@ DeviceSpec device_from_json(std::string_view json) {
   }
 
   if (qubits < 1) scan.fail("missing or invalid \"qubits\"");
+  if (qubits > kMaxDeviceQubits) {
+    scan.fail("\"qubits\" exceeds " + std::to_string(kMaxDeviceQubits));
+  }
   if (!have_edges) scan.fail("missing \"edges\"");
   if (swap_duration < 1) scan.fail("invalid \"swap_duration\"");
   for (const Edge& e : edges) {
@@ -70,6 +75,19 @@ DeviceSpec device_from_json(std::string_view json) {
         e.p0 == e.p1) {
       scan.fail("edge endpoint out of range");
     }
+  }
+  std::vector<std::uint64_t> couplers;
+  couplers.reserve(edges.size());
+  for (const Edge& e : edges) {
+    const auto [lo, hi] = std::minmax(e.p0, e.p1);
+    couplers.push_back(static_cast<std::uint64_t>(lo) << 32 |
+                       static_cast<std::uint32_t>(hi));
+  }
+  std::sort(couplers.begin(), couplers.end());
+  if (const auto dup = std::adjacent_find(couplers.begin(), couplers.end());
+      dup != couplers.end()) {
+    scan.fail("duplicate coupler " + std::to_string(*dup >> 32) + "-" +
+              std::to_string(*dup & 0xffffffffU));
   }
   return DeviceSpec{Device(name, qubits, std::move(edges)), swap_duration};
 }

@@ -22,8 +22,14 @@ struct DeviceSpec {
   int swap_duration = 1;
 };
 
+/// Largest "qubits" value device_from_json accepts. A Device holds one
+/// adjacency bit row per qubit (n^2 / 8 bytes, 2 MiB at the cap), and no
+/// processor this project targets comes near it.
+inline constexpr int kMaxDeviceQubits = 4096;
+
 /// Parse the JSON produced by device_to_json. Throws std::runtime_error on
-/// malformed input.
+/// malformed input, including a "qubits" value above kMaxDeviceQubits and a
+/// coupler listed twice (in either orientation).
 DeviceSpec device_from_json(std::string_view json);
 
 }  // namespace olsq2::device

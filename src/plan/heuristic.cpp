@@ -5,6 +5,7 @@
 
 #include "circuit/circuit.h"
 #include "device/device.h"
+#include "device/distance.h"
 
 namespace olsq2::plan {
 
@@ -26,17 +27,17 @@ Heuristic::Heuristic(const Space& space)
 
 int Heuristic::operator()(const Space::State& s) const {
   const circuit::Circuit& circ = *space_->problem().circuit;
-  const device::Device& dev = *space_->problem().device;
-  const int unreachable_dist = dev.num_qubits();
+  const device::DistanceTable& dist = space_->distances();
+  const int unreachable_dist = dist.num_qubits();
   int max_slack = 0;
   int frontier_sum = 0;
   for (int g = 0; g < space_->total_gates(); ++g) {
     const circuit::Gate& gate = circ.gate(g);
     if (!gate.is_two_qubit()) continue;
     if (space_->gate_executed(s, g)) continue;
-    const int dist = dev.distance(s.mapping[gate.q0], s.mapping[gate.q1]);
-    if (dist >= unreachable_dist) return kUnreachable;
-    const int slack = dist - 1;
+    const int d = dist.distance(s.mapping[gate.q0], s.mapping[gate.q1]);
+    if (d >= unreachable_dist) return kUnreachable;
+    const int slack = d - 1;
     if (slack > max_slack) max_slack = slack;
     const bool front = space_->pos_on_q0(g) == s.next[gate.q0] &&
                        space_->pos_on_q1(g) == s.next[gate.q1];
@@ -53,12 +54,13 @@ int greedy_completion(const Space& space, Space::State state,
                       std::vector<int>* swap_edges) {
   const circuit::Circuit& circ = *space.problem().circuit;
   const device::Device& dev = *space.problem().device;
+  const device::DistanceTable& dist = space.distances();
   space.closure(&state);
   int swaps = 0;
   // Each iteration strictly reduces one front gate's distance, so the walk
   // terminates; the cap only guards against a malformed device table.
   const long cap =
-      4L * (space.total_gates() + 1) * (dev.diameter() + dev.num_qubits() + 1);
+      4L * (space.total_gates() + 1) * (dist.diameter() + dev.num_qubits() + 1);
   for (long iter = 0; iter < cap; ++iter) {
     if (space.is_goal(state)) return swaps;
     // Pick the front two-qubit gate with minimum slack (one always exists:
@@ -73,10 +75,11 @@ int greedy_completion(const Space& space, Space::State state,
           space.pos_on_q1(g) != state.next[gate.q1]) {
         continue;
       }
-      const int dist = dev.distance(state.mapping[gate.q0], state.mapping[gate.q1]);
-      if (best_gate < 0 || dist < best_dist) {
+      const int d =
+          dist.distance(state.mapping[gate.q0], state.mapping[gate.q1]);
+      if (best_gate < 0 || d < best_dist) {
         best_gate = g;
-        best_dist = dist;
+        best_dist = d;
       }
     }
     if (best_gate < 0 || best_dist >= dev.num_qubits()) return -1;
@@ -87,7 +90,7 @@ int greedy_completion(const Space& space, Space::State state,
     int step_edge = -1;
     for (int e : dev.edges_at(from)) {
       const int n = dev.edge(e).other(from);
-      if (dev.distance(n, to) < best_dist) {
+      if (dist.distance(n, to) < best_dist) {
         step_edge = e;
         break;
       }

@@ -9,7 +9,8 @@
 
 namespace olsq2::plan {
 
-Space::Space(const layout::Problem& problem) : problem_(&problem) {
+Space::Space(const layout::Problem& problem)
+    : problem_(&problem), distances_(*problem.device) {
   const circuit::Circuit& circ = *problem.circuit;
   const device::Device& dev = *problem.device;
   num_program_ = circ.num_qubits();

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "device/distance.h"
 #include "layout/types.h"
 
 namespace olsq2::plan {
@@ -41,6 +42,10 @@ class Space {
   int num_program_qubits() const { return num_program_; }
   int num_physical_qubits() const { return num_physical_; }
   int total_gates() const { return total_gates_; }
+
+  /// Shortest-path distances on the problem's device (heuristic bounds and
+  /// the greedy completion walk).
+  const device::DistanceTable& distances() const { return distances_; }
 
   /// Gate indices acting on program qubit q, in program order.
   const std::vector<int>& qubit_gates(int q) const { return qubit_gates_[q]; }
@@ -99,6 +104,7 @@ class Space {
 
  private:
   const layout::Problem* problem_;
+  device::DistanceTable distances_;
   int num_program_ = 0;
   int num_physical_ = 0;
   int total_gates_ = 0;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "bengen/rng.h"
+#include "device/distance.h"
 
 namespace olsq2::sabre {
 
@@ -43,6 +44,7 @@ class Router {
   Router(const layout::Problem& problem, const SabreOptions& options)
       : circ_(*problem.circuit),
         dev_(*problem.device),
+        dist_(dev_),
         swap_duration_(problem.swap_duration),
         options_(options) {}
 
@@ -82,7 +84,7 @@ class Router {
     Circuit routed;
   };
 
-  int dist(int p0, int p1) const { return dev_.distance(p0, p1); }
+  int dist(int p0, int p1) const { return dist_.distance(p0, p1); }
 
   // Lookahead set: up to extended_size two-qubit gates reachable from the
   // front layer through the DAG.
@@ -264,6 +266,7 @@ class Router {
 
   const Circuit& circ_;
   const Device& dev_;
+  const device::DistanceTable dist_;
   int swap_duration_;
   SabreOptions options_;
 };

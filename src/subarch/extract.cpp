@@ -1,9 +1,12 @@
 #include "subarch/extract.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <map>
 #include <numeric>
+#include <span>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -94,26 +97,40 @@ std::vector<device::Edge> induced_edges(const device::Device& dev,
 
 /// ESU (Wernicke) enumeration of connected induced m-vertex subgraphs:
 /// every set is emitted exactly once, rooted at its minimum vertex.
+/// Extension lists live in one preallocated stack (a level's list is
+/// stack_[begin, end), its children's lists are built above it), so a
+/// run allocates nothing after construction.
 class Esu {
  public:
   Esu(const device::Device& dev, int m, std::int64_t budget)
-      : dev_(dev), m_(m), budget_(budget), seen_(dev.num_qubits(), 0) {}
+      : dev_(dev), m_(m), budget_(budget), seen_(dev.num_qubits(), 0) {
+    // A child list is its parent's remainder plus one vertex's
+    // neighbours, so level k holds at most (k + 1) * max_degree entries.
+    std::size_t max_degree = 1;
+    for (int v = 0; v < dev.num_qubits(); ++v) {
+      max_degree = std::max(max_degree, dev.neighbors(v).size());
+    }
+    stack_.resize(static_cast<std::size_t>(m) * (m + 1) / 2 * max_degree);
+    sub_.reserve(m);
+  }
 
+  /// Calls emit(sub) for every set; `sub` is in discovery order (root
+  /// first), not sorted.
   template <typename Emit>
   bool run(Emit&& emit) {
     for (int v = 0; v < dev_.num_qubits() && !aborted_; ++v) {
       root_ = v;
-      sub_ = {v};
+      sub_.assign(1, v);
       seen_[v] = 1;
-      std::vector<int> ext;
+      std::size_t end = 0;
       for (const int u : dev_.neighbors(v)) {
         if (u > v) {
-          ext.push_back(u);
+          stack_[end++] = u;
           seen_[u] = 1;
         }
       }
-      extend(ext, emit);
-      for (const int u : ext) seen_[u] = 0;
+      extend(0, end, emit);
+      for (std::size_t i = 0; i < end; ++i) seen_[stack_[i]] = 0;
       seen_[v] = 0;
     }
     return !aborted_;
@@ -123,36 +140,52 @@ class Esu {
 
  private:
   template <typename Emit>
-  void extend(std::vector<int> ext, Emit&& emit) {
-    if (aborted_) return;
-    if (static_cast<int>(sub_.size()) == m_) {
-      ++enumerated_;
-      if (enumerated_ > budget_) {
-        aborted_ = true;
-        return;
-      }
-      emit(sub_);
+  void visit(Emit& emit) {
+    ++enumerated_;
+    if (enumerated_ > budget_) {
+      aborted_ = true;
       return;
     }
-    while (!ext.empty() && !aborted_) {
-      const int w = ext.back();
-      ext.pop_back();
+    emit(std::span<const int>(sub_));
+  }
+
+  template <typename Emit>
+  void extend(std::size_t begin, std::size_t end, Emit& emit) {
+    if (static_cast<int>(sub_.size()) == m_) {  // m == 1: the root alone
+      visit(emit);
+      return;
+    }
+    // One vertex short: every w completes a set, no child list needed.
+    const bool completes = static_cast<int>(sub_.size()) + 1 == m_;
+    const std::size_t top = end;
+    while (end > begin && !aborted_) {
+      const int w = stack_[--end];
+      sub_.push_back(w);
+      if (completes) {
+        visit(emit);
+        sub_.pop_back();
+        continue;
+      }
       // Extension of the child: remaining ext plus w's exclusive
       // neighbors (unseen, above the root). `seen_` marks sub ∪ N(sub) ∪
       // ext, so each vertex enters at most one extension list per branch.
-      std::vector<int> child_ext = ext;
-      std::vector<int> newly_seen;
+      std::size_t child_end =
+          std::copy(stack_.begin() + static_cast<std::ptrdiff_t>(begin),
+                    stack_.begin() + static_cast<std::ptrdiff_t>(end),
+                    stack_.begin() + static_cast<std::ptrdiff_t>(top)) -
+          stack_.begin();
+      const std::size_t newly_seen = child_end;
       for (const int u : dev_.neighbors(w)) {
         if (u > root_ && !seen_[u]) {
-          child_ext.push_back(u);
+          stack_[child_end++] = u;
           seen_[u] = 1;
-          newly_seen.push_back(u);
         }
       }
-      sub_.push_back(w);
-      extend(std::move(child_ext), emit);
+      extend(top, child_end, emit);
       sub_.pop_back();
-      for (const int u : newly_seen) seen_[u] = 0;
+      for (std::size_t i = newly_seen; i < child_end; ++i) {
+        seen_[stack_[i]] = 0;
+      }
     }
   }
 
@@ -160,62 +193,128 @@ class Esu {
   int m_;
   std::int64_t budget_;
   std::vector<char> seen_;
+  std::vector<int> stack_;
   std::vector<int> sub_;
   int root_ = 0;
   std::int64_t enumerated_ = 0;
   bool aborted_ = false;
 };
 
+/// Induced edges of an m-vertex set as packed bits: bit t is set iff the
+/// t-th sub-index pair (i < j, in the lexicographic order induced_edges
+/// emits) is a coupler. Within one cover m is fixed, so the signature and
+/// the relabeled edge list determine each other; two words hold every
+/// pair for m <= kMaxSignatureQubits.
+struct Signature {
+  std::array<std::uint64_t, 2> words{};
+
+  void set(int t) { words[t >> 6] |= std::uint64_t{1} << (t & 63); }
+  bool test(int t) const { return ((words[t >> 6] >> (t & 63)) & 1U) != 0; }
+  bool operator==(const Signature&) const = default;
+};
+
+constexpr int kMaxSignatureQubits = 16;  // 16 * 15 / 2 = 120 pairs <= 128
+
+struct SignatureHash {
+  std::size_t operator()(const Signature& s) const {
+    // splitmix64 finalizer over both words.
+    std::uint64_t h = s.words[0] ^ (s.words[1] * 0x9e3779b97f4a7c15ULL);
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// Signature of a sorted vertex set, read off the adjacency bit rows.
+Signature signature_of(const device::Device& dev, std::span<const int> verts) {
+  Signature sig;
+  const int m = static_cast<int>(verts.size());
+  int t = 0;
+  for (int i = 0; i < m; ++i) {
+    for (int j = i + 1; j < m; ++j, ++t) {
+      if (dev.adjacent(verts[i], verts[j])) sig.set(t);
+    }
+  }
+  return sig;
+}
+
+std::vector<device::Edge> edges_of(const Signature& sig, int m) {
+  std::vector<device::Edge> edges;
+  int t = 0;
+  for (int i = 0; i < m; ++i) {
+    for (int j = i + 1; j < m; ++j, ++t) {
+      if (sig.test(t)) edges.push_back({i, j});
+    }
+  }
+  return edges;
+}
+
+Signature signature_of(const std::vector<device::Edge>& edges, int m) {
+  Signature sig;
+  for (const device::Edge& e : edges) {
+    // Pairs before row i: i*m - i*(i+1)/2; then j - i - 1 within row i.
+    sig.set(e.p0 * m - e.p0 * (e.p0 + 1) / 2 + e.p1 - e.p0 - 1);
+  }
+  return sig;
+}
+
 Cover enumerate_uncached(const device::Device& dev, int m,
                          const ExtractOptions& options) {
   Cover cover;
   cover.size = m;
-  if (m < 1 || m > dev.num_qubits() || m > options.max_sub_qubits) {
+  if (m < 1 || m > dev.num_qubits() || m > options.max_sub_qubits ||
+      m > kMaxSignatureQubits) {
     return cover;  // complete=false: caller falls back
   }
 
   // Two-level dedupe. Lattice devices produce thousands of *translated*
   // copies of each shape whose relabeled edge lists are literally equal;
-  // those collapse on the cheap signature without touching the
-  // canonicalizer. Only one representative per signature pays for WL +
-  // individualization, and signatures merge into classes by canonical key.
-  // Only a new class builds its subdevice.
-  std::map<std::string, std::size_t> by_signature;  // sig -> class index
-  std::map<std::string, std::size_t> by_key;        // canon key -> index
+  // those collapse on the packed signature (a bit-row read, a hash
+  // lookup, no allocation) without touching the canonicalizer. Only one
+  // representative per signature pays for WL + individualization, and
+  // signatures merge into classes by canonical key. Only a new class
+  // builds its subdevice.
+  std::unordered_map<Signature, std::size_t, SignatureHash> by_signature;
+  std::map<std::string, std::size_t> by_key;  // canon key -> class index
   bool all_exact = true;
   const bool drop_edge = inject_edge_drop_bug();
+  std::array<int, kMaxSignatureQubits> sorted{};
+  const std::span<int> verts(sorted.data(), static_cast<std::size_t>(m));
 
   Esu esu(dev, m, options.max_subgraphs);
-  const bool finished = esu.run([&](const std::vector<int>& verts_in) {
-    std::vector<int> verts = verts_in;
+  const bool finished = esu.run([&](std::span<const int> sub) {
+    std::copy(sub.begin(), sub.end(), verts.begin());
     std::sort(verts.begin(), verts.end());
-    std::vector<device::Edge> edges = induced_edges(dev, verts);
-    if (drop_edge) maybe_drop_edge(edges, m);
-    std::string sig;
-    sig.reserve(edges.size() * 2);
-    for (const device::Edge& e : edges) {
-      sig.push_back(static_cast<char>('0' + e.p0));
-      sig.push_back(static_cast<char>('0' + e.p1));
+    Signature sig = signature_of(dev, verts);
+    if (drop_edge) {
+      std::vector<device::Edge> edges = edges_of(sig, m);
+      maybe_drop_edge(edges, m);
+      sig = signature_of(edges, m);
     }
-    if (const auto it = by_signature.find(sig); it != by_signature.end()) {
-      ++cover.classes[it->second].members;
+    const auto [slot, fresh] = by_signature.try_emplace(sig, 0);
+    if (!fresh) {
+      ++cover.classes[slot->second].members;
       return;
     }
+    std::vector<device::Edge> edges = edges_of(sig, m);
     serve::DeviceCanon canon = serve::canonicalize_device(m, edges);
     all_exact = all_exact && canon.exact;
     if (const auto it = by_key.find(canon.key); it != by_key.end()) {
-      by_signature.emplace(std::move(sig), it->second);
+      slot->second = it->second;
       ++cover.classes[it->second].members;
       return;
     }
     CoverClass cls;
     cls.induced_edges = static_cast<int>(edges.size());
     cls.rep.device = device::Device("sub", m, std::move(edges));
-    cls.rep.to_full = verts;
+    cls.rep.to_full.assign(verts.begin(), verts.end());
     cls.canon = std::move(canon);
     cls.members = 1;
+    slot->second = cover.classes.size();
     by_key.emplace(cls.canon.key, cover.classes.size());
-    by_signature.emplace(std::move(sig), cover.classes.size());
     cover.classes.push_back(std::move(cls));
   });
 

@@ -52,7 +52,9 @@ struct ExtractOptions {
   std::int64_t max_subgraphs = 2'000'000;
   /// Largest subgraph size worth enumerating; beyond it the caller falls
   /// back to the direct solve (ESU cost grows with the count of connected
-  /// sets, which explodes as m approaches the device size).
+  /// sets, which explodes as m approaches the device size). Sizes above 16
+  /// never enumerate: the per-set signature packs the m(m-1)/2 vertex pairs
+  /// into 128 bits.
   int max_sub_qubits = 12;
 };
 

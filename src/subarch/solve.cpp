@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "device/distance.h"
 #include "layout/olsq2.h"
 #include "layout/tb.h"
 #include "layout/verifier.h"
@@ -21,13 +22,6 @@ namespace m = obs::metrics;
 void count(const char* name, const char* help) {
   if (!m::enabled()) return;
   m::Registry::instance().counter(name, help).inc();
-}
-
-bool device_connected(const device::Device& dev) {
-  for (int p = 1; p < dev.num_qubits(); ++p) {
-    if (dev.distance(0, p) >= dev.num_qubits()) return false;
-  }
-  return true;
 }
 
 bool cancelled(const layout::OptimizerOptions& options) {
@@ -88,7 +82,7 @@ LadderResult run_ladder(const layout::Problem& problem,
   if (!interaction_connected(circ)) {
     return bail("interaction graph disconnected or trivial");
   }
-  if (!device_connected(dev)) return bail("device disconnected");
+  if (!device::connected(dev)) return bail("device disconnected");
 
   Library& library =
       subopts.library != nullptr ? *subopts.library : Library::process_wide();
@@ -338,7 +332,7 @@ layout::WindowedResult synthesize_windowed_swap(
   const int qubits = problem.circuit->num_qubits();
   const int msize = std::min(dev.num_qubits(), qubits + std::max(0, region_slack));
   if (msize >= dev.num_qubits() || qubits > dev.num_qubits() ||
-      !device_connected(dev)) {
+      !device::connected(dev)) {
     out.fallback_reason = "no reduction available";
     fill(outcome, out);
     return layout::synthesize_windowed_swap(problem, options, config);

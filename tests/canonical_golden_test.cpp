@@ -85,6 +85,8 @@ constexpr Pin kPins[] = {
     {"cover/eagle127/m7", "d06a7f17c7e17af7"},
     {"cover/eagle127/m8", "a1a9db297756fea4"},
     {"cover/eagle127/m9", "f3a560e28aa049b8"},
+    {"cover/grid:8x8/m8", "509e70c26a3a07c4"},
+    {"cover/sycamore54/m8", "44d7d8522406cac7"},
     {"budget/device/edgeless7", "a6384ec696ce5f05"},
     {"budget/circuit/h8", "65f418bbff8cad05"},
     {"circuit/bv5", "450d8e91346d4dd2"},
@@ -179,6 +181,26 @@ void pin_device(Table& table, const std::string& name, device::Device dev) {
   }
 }
 
+/// One row per cover: all its classes in cover order, each with its
+/// canonical form, its representative's embedding and its member count.
+void pin_cover(Table& table, const std::string& name,
+               const device::Device& dev, int m) {
+  const subarch::Cover cover = subarch::enumerate_cover(dev, m);
+  EXPECT_TRUE(cover.complete) << name << " m=" << m;
+  std::string record = std::to_string(cover.classes.size());
+  for (const subarch::CoverClass& cls : cover.classes) {
+    record += '#';
+    record += device_record(cls.canon);
+    append_ints(record, cls.rep.to_full);
+    record += '|' + std::to_string(cls.members);
+    // The class form is the representative's own canonical form.
+    EXPECT_EQ(device_record(canonicalize_device(cls.rep.device)),
+              device_record(cls.canon))
+        << name << " m=" << m;
+  }
+  add_row(table, "cover/" + name + "/m" + std::to_string(m), record);
+}
+
 Table compute_table() {
   Table table;
   const std::string dir = OLSQ2_BENCHMARK_DIR;
@@ -194,25 +216,12 @@ Table compute_table() {
   pin_device(table, "grid:3x3", device::grid(3, 3));
 
   // Every class representative of the eagle127 covers (the subarch
-  // ladder's library keys): one row per cover size over all its classes
-  // in cover order, with each class's embedding and size.
+  // ladder's library keys), plus the m=8 covers of the two lattices whose
+  // translated copies stress the signature dedupe.
   const device::Device eagle = device::ibm_eagle127();
-  for (int m = 5; m <= 9; ++m) {
-    const subarch::Cover cover = subarch::enumerate_cover(eagle, m);
-    EXPECT_TRUE(cover.complete) << "m=" << m;
-    std::string record = std::to_string(cover.classes.size());
-    for (const subarch::CoverClass& cls : cover.classes) {
-      record += '#';
-      record += device_record(cls.canon);
-      append_ints(record, cls.rep.to_full);
-      record += '|' + std::to_string(cls.members);
-      // The class form is the representative's own canonical form.
-      EXPECT_EQ(device_record(canonicalize_device(cls.rep.device)),
-                device_record(cls.canon))
-          << "m=" << m;
-    }
-    add_row(table, "cover/eagle127/m" + std::to_string(m), record);
-  }
+  for (int m = 5; m <= 9; ++m) pin_cover(table, "eagle127", eagle, m);
+  pin_cover(table, "grid:8x8", device::grid(8, 8), 8);
+  pin_cover(table, "sycamore54", device::google_sycamore54(), 8);
 
   // Leaf-budget fallbacks: an edgeless device and a layer of one
   // single-qubit gate per qubit are fully symmetric (7! and 8! leaves).

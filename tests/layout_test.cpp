@@ -126,6 +126,11 @@ struct NamedConfig {
   EncodingConfig config;
 };
 
+// Without a printer, gtest lists the parameter as raw bytes, which start with
+// the load address of `name` and so change the registered test names on
+// every build.
+void PrintTo(const NamedConfig& named, std::ostream* os) { *os << named.name; }
+
 class EncodingAgreementTest : public ::testing::TestWithParam<NamedConfig> {};
 
 TEST_P(EncodingAgreementTest, OptimalDepthMatches) {
