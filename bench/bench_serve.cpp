@@ -65,8 +65,8 @@ fuzz::Instance variant_of(const fuzz::Instance& base, int which,
 
 /// Repetitions of the canonicalization timing loop over the eagle127
 /// relabelings: enough that the loop total clears benchdiff's 250 ms noise
-/// floor on the baseline machine.
-constexpr int kCanonReps = 250;
+/// floor on the baseline machine (10,000 calls at about 0.08 ms each).
+constexpr int kCanonReps = 1250;
 
 struct RunStats {
   double wall_ms = 0;

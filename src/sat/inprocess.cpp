@@ -116,13 +116,13 @@ bool Solver::inprocess() {
     hist[1] = &subsume_ms;
     hist[2] = &vivify_ms;
   }
-  using PassFn = bool (Solver::*)(std::uint64_t&);
-  constexpr PassFn kPasses[3] = {&Solver::inprocess_equiv,
-                                 &Solver::inprocess_subsume,
-                                 &Solver::inprocess_vivify};
   for (int p = 0; p < 3 && ok_ && ticks > 0; ++p) {
     const auto t0 = std::chrono::steady_clock::now();
-    (this->*kPasses[p])(ticks);
+    switch (p) {
+      case 0: inprocess_equiv(ticks); break;
+      case 1: inprocess_subsume(ticks); break;
+      case 2: inprocess_vivify(ticks); break;
+    }
     if (hist[p] != nullptr) {
       hist[p]->observe(std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - t0)

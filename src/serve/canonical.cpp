@@ -20,18 +20,19 @@ namespace {
 // circuits), where the fallback costs cache hits, not correctness.
 constexpr int kLeafBudget = 2048;
 
-/// Densify arbitrary color values colors[0, n) into ranks 0..k-1
-/// preserving order; returns k. `sorted` is n entries of scratch.
-int densify(int* colors, int n, int* sorted) {
+/// Replace arbitrary color values colors[0, n) by cell start positions:
+/// each vertex gets the number of vertices of smaller color, so the order
+/// of colors is kept and each color is the first position of its cell in
+/// an ordered partition. Returns the number of cells. `sorted` is n
+/// entries of scratch.
+int cell_starts(int* colors, int n, int* sorted) {
   std::copy(colors, colors + n, sorted);
   std::sort(sorted, sorted + n);
-  const int k = static_cast<int>(std::unique(sorted, sorted + n) - sorted);
   for (int v = 0; v < n; ++v) {
-    colors[v] =
-        static_cast<int>(std::lower_bound(sorted, sorted + k, colors[v]) -
-                         sorted);
+    colors[v] = static_cast<int>(
+        std::lower_bound(sorted, sorted + n, colors[v]) - sorted);
   }
-  return k;
+  return static_cast<int>(std::unique(sorted, sorted + n) - sorted);
 }
 
 /// Dense ranks of n int spans, span v = data[off[v], off[v + 1]), in
@@ -63,12 +64,16 @@ void append_int(std::string& out, int value) {
 /// once a thread has searched a graph of some size, searches up to that
 /// size allocate nothing; nothing is shared between threads.
 struct SearchScratch {
-  std::vector<int> sigs;     // flat signatures, Graph::sig_offsets() spans
-  std::vector<int> order;    // rank_spans / densify scratch
-  std::vector<int> refined;  // one refinement round's ranks
-  std::vector<int> count;    // class sizes
-  std::vector<std::vector<int>> levels;  // colors per search depth
-  std::string key;                       // candidate key of the last leaf
+  std::vector<int> sigs;      // flat signatures, Graph::sig_offsets() spans
+  std::vector<int> order;     // cell_starts scratch
+  std::vector<int> cells;     // vertices grouped by cell, cells in color order
+  std::vector<int> cell_end;  // cell_end[start]: one past the cell's end
+  std::vector<int> queue;     // starts of the cells to re-rank this round
+  std::vector<char> queued;   // per cell start: already in `queue`
+  std::vector<std::pair<int, int>> split;  // [begin, end) of split cells
+  std::vector<int> count;                  // class sizes
+  std::vector<std::vector<int>> levels;    // colors per search depth
+  std::string key;                         // candidate key of the last leaf
   std::string best_key;
   std::vector<int> best_labels;
 };
@@ -81,10 +86,25 @@ struct SearchScratch {
 ///   sig_offsets()              n + 1 bounds of each vertex's signature in
 ///                              one flat buffer, fixed for the whole search;
 ///   signature(v, colors, out)  v's signature under `colors`: colors[v]
-///                              first, the rest label-invariant;
+///                              first, the rest label-invariant and reading
+///                              only the colors of v's neighbors;
+///   for_each_neighbor(v, f)    calls f(w) for each vertex w whose color
+///                              v's signature reads;
 ///   serialize(labels, key)     the candidate key of a discrete coloring.
-/// Refinement rewrites the flat signature buffer and ranks its spans each
-/// round (Weisfeiler-Leman to a fixpoint). All buffers live in a
+///
+/// Colors are cell start positions of an ordered partition: a vertex's
+/// color is the number of vertices in lower cells. A discrete coloring is
+/// therefore a labeling 0..n-1, and a cell that does not split keeps its
+/// color. Refinement is Weisfeiler-Leman to a fixpoint, computed
+/// incrementally: each round re-sorts, by signature, only the
+/// non-singleton cells with a member next to a cell that split in the
+/// previous round, and applies the new colors after the round. This is
+/// round for round the full refinement that re-ranks all n signatures:
+/// every signature starts with the vertex's own color and compares the
+/// others only by order, so a cell splits into the same ordered sub-cells
+/// under any order-preserving recoloring; and a cell with no neighbor in a
+/// split cell sees exactly the colors under which its members last had
+/// equal signatures, so it cannot split. All buffers live in a
 /// SearchScratch that the caller keeps per thread.
 template <typename Graph>
 class LabelSearch {
@@ -93,7 +113,9 @@ class LabelSearch {
       : graph_(graph), n_(n), s_(scratch) {
     s_.sigs.resize(graph.sig_offsets().back());
     s_.order.resize(n);
-    s_.refined.resize(n);
+    s_.cells.resize(n);
+    s_.cell_end.resize(n);
+    s_.queued.assign(n, 0);
     s_.count.resize(n);
     // Every level individualizes one more vertex, so a branch is at most
     // n levels deep; the reserve keeps level buffers from moving.
@@ -105,12 +127,14 @@ class LabelSearch {
   /// their order matters.
   int* seed() { return level(0); }
 
-  void run() { visit(0, densify(level(0), n_, s_.order.data())); }
+  void run() { visit(0, cell_starts(level(0), n_, s_.order.data()), -1); }
 
   const std::string& best_key() const { return s_.best_key; }
   const std::vector<int>& best_labels() const { return s_.best_labels; }
 
   int leaves_used = 0;
+  /// Refinement rounds that re-ranked at least one cell, over the search.
+  int rounds = 0;
   bool budget_hit = false;
 
  private:
@@ -121,21 +145,81 @@ class LabelSearch {
     return s_.levels[depth].data();
   }
 
-  /// Refine dense `colors` in place to the stable partition; returns its
-  /// class count. A round's ranks start with the old color, so an
-  /// unchanged count means an unchanged coloring.
-  int refine(int* colors, int classes) {
+  /// Refine `colors` (cell starts, `classes` cells) in place to the stable
+  /// partition; returns its cell count. `split` is the start of the cell
+  /// that individualize() just split, or -1 for a seed coloring, whose
+  /// first round re-ranks every cell.
+  int refine(int* colors, int classes, int split) {
+    if (classes == n_) return classes;  // discrete colorings are stable
+    int* cells = s_.cells.data();
+    int* end = s_.cell_end.data();
+    // Ordered partition of `colors`; end[c] serves as cell c's fill cursor.
+    for (int v = 0; v < n_; ++v) end[colors[v]] = colors[v];
+    for (int v = 0; v < n_; ++v) cells[end[colors[v]]++] = v;
+
     const std::vector<int>& off = graph_.sig_offsets();
-    while (classes < n_) {
-      for (int v = 0; v < n_; ++v) {
-        graph_.signature(v, colors, s_.sigs.data() + off[v]);
+    const int* sigs = s_.sigs.data();
+    const auto less = [&](int a, int b) {
+      return std::lexicographical_compare(sigs + off[a], sigs + off[a + 1],
+                                          sigs + off[b], sigs + off[b + 1]);
+    };
+    bool every_cell = split < 0;
+    s_.split.clear();
+    if (!every_cell) s_.split.emplace_back(split, end[split + 1]);
+    do {
+      // Cells to re-rank: every cell in a seed's first round, else the
+      // cells with a member next to a cell that split last round.
+      s_.queue.clear();
+      if (every_cell) {
+        for (int c = 0; c < n_; c = end[c]) {
+          if (end[c] - c > 1) s_.queue.push_back(c);
+        }
+        every_cell = false;
+      } else {
+        for (const auto& [begin, stop] : s_.split) {
+          for (int i = begin; i < stop; ++i) {
+            graph_.for_each_neighbor(cells[i], [&](int w) {
+              const int c = colors[w];
+              if (end[c] - c > 1 && !s_.queued[c]) {
+                s_.queued[c] = 1;
+                s_.queue.push_back(c);
+              }
+            });
+          }
+        }
+        for (const int c : s_.queue) s_.queued[c] = 0;
       }
-      const int next = rank_spans(n_, off.data(), s_.sigs.data(),
-                                  s_.order.data(), s_.refined.data());
-      if (next == classes) break;
-      std::copy(s_.refined.begin(), s_.refined.end(), colors);
-      classes = next;
-    }
+      if (s_.queue.empty()) break;
+      ++rounds;
+
+      // Sort each queued cell by signature under this round's colors and
+      // record its sub-cells' bounds in end[].
+      s_.split.clear();
+      for (const int c : s_.queue) {
+        const int stop = end[c];
+        for (int i = c; i < stop; ++i) {
+          graph_.signature(cells[i], colors, s_.sigs.data() + off[cells[i]]);
+        }
+        std::sort(cells + c, cells + stop, less);
+        int start = c;
+        for (int i = c + 1; i < stop; ++i) {
+          if (!less(cells[i - 1], cells[i])) continue;
+          end[start] = i;
+          start = i;
+          ++classes;
+        }
+        if (start == c) continue;
+        end[start] = stop;
+        s_.split.emplace_back(c, stop);
+      }
+      if (s_.split.empty()) break;
+      // Only now recolor: each sub-cell's members take its start.
+      for (const auto& [begin, stop] : s_.split) {
+        for (int c = begin; c < stop; c = end[c]) {
+          for (int i = c; i < end[c]; ++i) colors[cells[i]] = c;
+        }
+      }
+    } while (classes < n_);
     return classes;
   }
 
@@ -151,12 +235,10 @@ class LabelSearch {
   }
 
   /// Split class `cls` so that `v` keeps the class color and its former
-  /// classmates move to the next color (all higher colors shift up one).
-  /// `out` may alias `colors`.
+  /// classmates form the next cell. `out` may alias `colors`.
   void individualize(const int* colors, int cls, int v, int* out) const {
     for (int u = 0; u < n_; ++u) {
-      const int c = colors[u];
-      out[u] = c > cls || (c == cls && u != v) ? c + 1 : c;
+      out[u] = colors[u] == cls && u != v ? cls + 1 : colors[u];
     }
   }
 
@@ -169,9 +251,10 @@ class LabelSearch {
     }
   }
 
-  void visit(std::size_t depth, int classes) {
+  /// `split` as for refine().
+  void visit(std::size_t depth, int classes, int split) {
     int* colors = s_.levels[depth].data();
-    classes = refine(colors, classes);
+    classes = refine(colors, classes, split);
     const int cls = first_ambiguous_class(colors);
     if (cls < 0) {
       leaf(colors);
@@ -187,7 +270,7 @@ class LabelSearch {
         const int pick =
             static_cast<int>(std::find(colors, colors + n_, c) - colors);
         individualize(colors, c, pick, colors);
-        classes = refine(colors, classes + 1);
+        classes = refine(colors, classes + 1, c);
       }
       leaf(colors);
       return;
@@ -196,7 +279,7 @@ class LabelSearch {
     for (int v = 0; v < n_; ++v) {
       if (colors[v] != cls) continue;
       individualize(colors, cls, v, child);
-      visit(depth + 1, classes + 1);
+      visit(depth + 1, classes + 1, cls);
       if (budget_hit) return;  // the fallback leaf already closed this run
     }
   }
@@ -241,6 +324,12 @@ class DeviceGraph {
 
   int degree(int v) const { return s_.adj_off[v + 1] - s_.adj_off[v]; }
   const std::vector<int>& sig_offsets() const { return s_.sig_off; }
+
+  /// Calls f on each neighbor of v.
+  template <typename F>
+  void for_each_neighbor(int v, F f) const {
+    for (int i = s_.adj_off[v]; i < s_.adj_off[v + 1]; ++i) f(s_.adj[i]);
+  }
 
   void signature(int v, const int* colors, int* out) const {
     *out++ = colors[v];
@@ -353,6 +442,14 @@ class CircuitGraph {
 
   int touched() const { return static_cast<int>(touched_.size()); }
   const std::vector<int>& sig_offsets() const { return sig_off_; }
+
+  /// Calls f on the two-qubit partner of each of i's occurrences.
+  template <typename F>
+  void for_each_neighbor(int i, F f) const {
+    for (int k = occ_off_[i]; k < occ_off_[i + 1]; ++k) {
+      if (occ_[k].partner >= 0) f(occ_[k].partner);
+    }
+  }
 
   /// Seed colors: touched qubits ranked by their (level, token) lists.
   void seed_colors(int* ranks) const {
@@ -496,6 +593,7 @@ DeviceCanon canonicalize_device(int num_qubits,
   if (span.live()) {
     span.arg("qubits", num_qubits);
     span.arg("leaves", search.leaves_used);
+    span.arg("rounds", search.rounds);
     span.arg("exact", canon.exact);
   }
   return canon;
@@ -527,6 +625,7 @@ CircuitCanon canonicalize_circuit(const circuit::Circuit& circ) {
     span.arg("qubits", circ.num_qubits());
     span.arg("gates", circ.num_gates());
     span.arg("leaves", search.leaves_used);
+    span.arg("rounds", search.rounds);
     span.arg("exact", canon.exact);
   }
   return canon;

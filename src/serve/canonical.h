@@ -77,8 +77,10 @@ struct InstanceCanon {
   std::string instance_key() const;
 };
 
-/// Canonicalize a device coupling graph. Each refinement round sorts the
-/// n vertex signatures, O((n + m) log n) for m edges; a search node runs at
+/// Canonicalize a device coupling graph. Refinement is incremental: a
+/// round re-sorts only the cells next to a cell that split in the previous
+/// round, O(s log s) for their s signature entries, instead of all n
+/// vertices and m edges. A search node costs O(n) to set up and runs at
 /// most n rounds, and the individualization search stops branching after
 /// a fixed leaf budget.
 DeviceCanon canonicalize_device(const device::Device& device);

@@ -20,7 +20,9 @@
 #include <utility>
 #include <vector>
 
+#include "bengen/graphgen.h"
 #include "bengen/rng.h"
+#include "bengen/workloads.h"
 #include "device/json.h"
 #include "device/presets.h"
 #include "fuzz/generator.h"
@@ -80,6 +82,50 @@ constexpr Pin kPins[] = {
     {"device/grid:3x3/relabel2", "f4a922d66c123123"},
     {"device/grid:3x3/relabel3", "f895c9d812654a3b"},
     {"device/grid:3x3/relabel4", "40d38821a4732393"},
+    {"device/path127", "18964cead8d926f9"},
+    {"device/path127/relabel0", "788a922e8b9ad3bb"},
+    {"device/path127/relabel1", "e58094fe8543db35"},
+    {"device/path127/relabel2", "ce68aa312736b82d"},
+    {"device/path127/relabel3", "bc73a28cae79425d"},
+    {"device/path127/relabel4", "68f78fba0aeb6899"},
+    {"device/cycle127", "083ca6b833695c45"},
+    {"device/cycle127/relabel0", "d86b632092fe4689"},
+    {"device/cycle127/relabel1", "aa8c019faa5000ed"},
+    {"device/cycle127/relabel2", "7f37851ca160b947"},
+    {"device/cycle127/relabel3", "6aba242694220f39"},
+    {"device/cycle127/relabel4", "44c09df8fd35756d"},
+    {"device/tree12", "2375d7158356cf7d"},
+    {"device/tree12/relabel0", "41b157d459781f3f"},
+    {"device/tree12/relabel1", "cf8716ad05db6397"},
+    {"device/tree12/relabel2", "4df0f41f5058df27"},
+    {"device/sparse12", "912076af1188cb2b"},
+    {"device/sparse12/relabel0", "da71ff0df8dfc0bd"},
+    {"device/sparse12/relabel1", "e3d448c740ee93bb"},
+    {"device/sparse12/relabel2", "b45ca7c5391a649d"},
+    {"device/tree24", "ce2e1b19b0f16336"},
+    {"device/tree24/relabel0", "2717f07fb9829636"},
+    {"device/tree24/relabel1", "a37c378c280e8dde"},
+    {"device/tree24/relabel2", "9f3a0052243f02b6"},
+    {"device/sparse24", "0ab97d2d2edf285e"},
+    {"device/sparse24/relabel0", "7e108b711ba7ecf4"},
+    {"device/sparse24/relabel1", "1596f04db0d02fe6"},
+    {"device/sparse24/relabel2", "68a827fdc487574a"},
+    {"device/tree40", "d8cafa18e3417a4c"},
+    {"device/tree40/relabel0", "2b7c491e152f81ac"},
+    {"device/tree40/relabel1", "666fb5b7f0011ba2"},
+    {"device/tree40/relabel2", "4d7b2b7dc4fe10ec"},
+    {"device/sparse40", "9cb5e9b803ebf711"},
+    {"device/sparse40/relabel0", "6b9c4a3a92aeeb55"},
+    {"device/sparse40/relabel1", "b4c000dec9447a27"},
+    {"device/sparse40/relabel2", "611a4d0ee0d4d3dd"},
+    {"device/tree64", "4529e27a8b15a753"},
+    {"device/tree64/relabel0", "0606644a1c2927c1"},
+    {"device/tree64/relabel1", "f3f9ec5a87fa9879"},
+    {"device/tree64/relabel2", "63ddc53981523ac7"},
+    {"device/sparse64", "a531440a17428bd7"},
+    {"device/sparse64/relabel0", "9430218905725d91"},
+    {"device/sparse64/relabel1", "bb4800b3a6676541"},
+    {"device/sparse64/relabel2", "46c7f2cc7389907d"},
     {"cover/eagle127/m5", "8f3899b911c5951b"},
     {"cover/eagle127/m6", "7c5356bbdeef7240"},
     {"cover/eagle127/m7", "d06a7f17c7e17af7"},
@@ -113,6 +159,30 @@ constexpr Pin kPins[] = {
     {"circuit/toffoli_qx2/variant2", "b75207e898e54284"},
     {"circuit/toffoli_qx2/variant3", "abc297d4e5b8164a"},
     {"circuit/toffoli_qx2/variant4", "2b6abf5d2a2793a4"},
+    {"circuit/qft:8", "5d9e91181551eb67"},
+    {"circuit/qft:8/variant0", "9b0fa096e90846af"},
+    {"circuit/qft:8/variant1", "bd3818f9f25456e5"},
+    {"circuit/qft:8/variant2", "de48bcddb28242df"},
+    {"circuit/qft:8/variant3", "b29474607f29921d"},
+    {"circuit/qft:8/variant4", "bfaa566d6ad3cfcf"},
+    {"circuit/cuccaro:2", "dbec2d31caff2815"},
+    {"circuit/cuccaro:2/variant0", "03c7bd9085ac1a6d"},
+    {"circuit/cuccaro:2/variant1", "254515ae59e86b27"},
+    {"circuit/cuccaro:2/variant2", "329a8111f2a4fa9d"},
+    {"circuit/cuccaro:2/variant3", "6701e3f28194d235"},
+    {"circuit/cuccaro:2/variant4", "060ec636dbf70375"},
+    {"circuit/qaoa:16", "e9412523e8eab7ab"},
+    {"circuit/qaoa:16/variant0", "c8121917499655db"},
+    {"circuit/qaoa:16/variant1", "d5a5fab288f5a275"},
+    {"circuit/qaoa:16/variant2", "231b268aaf077467"},
+    {"circuit/qaoa:16/variant3", "3d62660f742bd5dd"},
+    {"circuit/qaoa:16/variant4", "bf89ba09426b11d7"},
+    {"circuit/brickwork:16", "378c74560c27661b"},
+    {"circuit/brickwork:16/variant0", "cbb83cf96b4bb405"},
+    {"circuit/brickwork:16/variant1", "b4ef7899ae80693d"},
+    {"circuit/brickwork:16/variant2", "47bc54f70ed78965"},
+    {"circuit/brickwork:16/variant3", "3d36697c0a471dc7"},
+    {"circuit/brickwork:16/variant4", "420570434bb0961f"},
 };
 // clang-format on
 
@@ -163,16 +233,17 @@ void add_row(Table& table, const std::string& name,
   table.emplace_back(name, hex_digest(record));
 }
 
-/// The base device plus kRelabelings seeded relabelings. Exact forms must
+/// The base device plus `relabelings` seeded relabelings. Exact forms must
 /// agree on the key across relabelings (the invariance half of the
 /// contract); the rows pin the bytes.
-void pin_device(Table& table, const std::string& name, device::Device dev) {
+void pin_device(Table& table, const std::string& name, device::Device dev,
+                int relabelings = kRelabelings) {
   const fuzz::Instance base{circuit::Circuit(1, "empty"), std::move(dev), 1};
   const DeviceCanon base_canon = canonicalize_device(base.device);
   EXPECT_TRUE(base_canon.exact) << name;
   add_row(table, "device/" + name, device_record(base_canon));
   bengen::Rng rng(fnv1a64(name));
-  for (int i = 0; i < kRelabelings; ++i) {
+  for (int i = 0; i < relabelings; ++i) {
     const fuzz::Instance variant = fuzz::relabel_physical_qubits(base, rng);
     const DeviceCanon canon = canonicalize_device(variant.device);
     EXPECT_EQ(canon.key, base_canon.key) << name << " relabeling " << i;
@@ -201,6 +272,34 @@ void pin_cover(Table& table, const std::string& name,
   add_row(table, "cover/" + name + "/m" + std::to_string(m), record);
 }
 
+/// The base circuit plus kRelabelings seeded program-qubit relabelings,
+/// every other one followed by a commuting reorder.
+void pin_circuit(Table& table, const std::string& name,
+                 circuit::Circuit circ) {
+  const int nq = circ.num_qubits();
+  const fuzz::Instance base{std::move(circ), device::grid(1, nq), 1};
+  const CircuitCanon base_canon = canonicalize_circuit(base.circuit);
+  EXPECT_TRUE(base_canon.exact) << name;
+  add_row(table, "circuit/" + name, circuit_record(base_canon));
+  bengen::Rng rng(fnv1a64(name));
+  for (int i = 0; i < kRelabelings; ++i) {
+    fuzz::Instance variant = fuzz::relabel_program_qubits(base, rng);
+    if (i % 2 == 1) variant = fuzz::commuting_reorder(variant, rng);
+    const CircuitCanon canon = canonicalize_circuit(variant.circuit);
+    EXPECT_EQ(canon.key, base_canon.key) << name << " variant " << i;
+    add_row(table, "circuit/" + name + "/variant" + std::to_string(i),
+            circuit_record(canon));
+  }
+}
+
+device::Device device_from_pairs(
+    const std::string& name, int n,
+    const std::vector<std::pair<int, int>>& pairs) {
+  std::vector<device::Edge> edges;
+  for (const auto& [a, b] : pairs) edges.push_back({a, b});
+  return device::Device(name, n, std::move(edges));
+}
+
 Table compute_table() {
   Table table;
   const std::string dir = OLSQ2_BENCHMARK_DIR;
@@ -214,6 +313,34 @@ Table compute_table() {
   pin_device(table, "grid:8x8", device::grid(8, 8));
   pin_device(table, "rigetti_aspen4", device::rigetti_aspen4());
   pin_device(table, "grid:3x3", device::grid(3, 3));
+
+  // Long refinement chains: on a path or a cycle, color information
+  // travels one edge per Weisfeiler-Leman round, so refinement takes
+  // O(n) rounds; the cycle also needs one individualization per branch.
+  {
+    std::vector<std::pair<int, int>> path;
+    for (int v = 0; v + 1 < 127; ++v) path.emplace_back(v, v + 1);
+    pin_device(table, "path127", device_from_pairs("path127", 127, path));
+    path.emplace_back(126, 0);
+    pin_device(table, "cycle127", device_from_pairs("cycle127", 127, path));
+  }
+  // Seeded random trees and sparse connected graphs (a spanning tree plus
+  // n/4 extra edges). Their leaves and twins exercise many small splits.
+  for (const int n : {12, 24, 40, 64}) {
+    const std::string tree = "tree" + std::to_string(n);
+    bengen::Rng rng(fnv1a64(tree));
+    pin_device(table, tree,
+               device_from_pairs(tree, n,
+                                 bengen::random_connected_graph(n, 0, rng)),
+               3);
+    const std::string sparse = "sparse" + std::to_string(n);
+    bengen::Rng sparse_rng(fnv1a64(sparse));
+    pin_device(table, sparse,
+               device_from_pairs(
+                   sparse, n,
+                   bengen::random_connected_graph(n, n / 4, sparse_rng)),
+               3);
+  }
 
   // Every class representative of the eagle127 covers (the subarch
   // ladder's library keys), plus the m=8 covers of the two lattices whose
@@ -240,22 +367,24 @@ Table compute_table() {
   // Bundled circuits under seeded program relabeling, alternately
   // followed by a commuting reorder.
   for (const char* file : {"bv5", "ghz5", "qaoa_triangle", "toffoli_qx2"}) {
-    const std::string name = file;
-    circuit::Circuit circ = qasm::parse_file(dir + "/" + name + ".qasm");
-    const int nq = circ.num_qubits();
-    const fuzz::Instance base{std::move(circ), device::grid(1, nq), 1};
-    const CircuitCanon base_canon = canonicalize_circuit(base.circuit);
-    EXPECT_TRUE(base_canon.exact) << name;
-    add_row(table, "circuit/" + name, circuit_record(base_canon));
-    bengen::Rng rng(fnv1a64(name));
-    for (int i = 0; i < kRelabelings; ++i) {
-      fuzz::Instance variant = fuzz::relabel_program_qubits(base, rng);
-      if (i % 2 == 1) variant = fuzz::commuting_reorder(variant, rng);
-      const CircuitCanon canon = canonicalize_circuit(variant.circuit);
-      EXPECT_EQ(canon.key, base_canon.key) << name << " variant " << i;
-      add_row(table, "circuit/" + name + "/variant" + std::to_string(i),
-              circuit_record(canon));
+    pin_circuit(table, file,
+                qasm::parse_file(dir + "/" + file + ".qasm"));
+  }
+  // Generated circuits with long dependency chains. Their (level, gate)
+  // seeds already tell every qubit apart, so they pin the seed path.
+  pin_circuit(table, "qft:8", bengen::qft(8));
+  pin_circuit(table, "cuccaro:2", bengen::cuccaro_adder(2));
+  // Circuits whose seeds do not: a QAOA layer on a 3-regular graph, and a
+  // two-layer brickwork of zz gates on a line, where every inner qubit has
+  // the same (level, gate) list and refinement takes O(n) rounds from the
+  // two ends inward, as on a path.
+  pin_circuit(table, "qaoa:16", bengen::qaoa_3regular(16, 9));
+  {
+    circuit::Circuit brick(16, "brickwork");
+    for (int layer = 0; layer < 2; ++layer) {
+      for (int q = layer; q + 1 < 16; q += 2) brick.add_gate("zz", q, q + 1);
     }
+    pin_circuit(table, "brickwork:16", std::move(brick));
   }
   return table;
 }

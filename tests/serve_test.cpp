@@ -16,6 +16,7 @@
 #include "fuzz/metamorphic.h"
 #include "layout/olsq2.h"
 #include "layout/verifier.h"
+#include "obs/obs.h"
 #include "serve/batch.h"
 #include "serve/cache.h"
 #include "serve/canonical.h"
@@ -160,6 +161,33 @@ TEST(Canonical, InvertPermutationRoundTrips) {
   const std::vector<int> perm{2, 0, 3, 1};
   const auto inv = invert_permutation(perm);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(inv[perm[i]], i);
+}
+
+/// The `rounds` argument of the first `name` span in `events`; -1 if none.
+int rounds_arg(const std::vector<obs::Event>& events, const char* name) {
+  for (const obs::Event& e : events) {
+    if (e.kind != obs::Event::Kind::kSpan || e.name != name) continue;
+    for (const obs::Arg& arg : e.args) {
+      if (arg.key == "rounds") return std::stoi(arg.value);
+    }
+  }
+  return -1;
+}
+
+TEST(Canonical, SpansReportRefinementRounds) {
+  obs::Trace& trace = obs::Trace::instance();
+  trace.begin_capture("");
+  // A 9-vertex path: the root refines the degree seed in 3 splitting
+  // rounds (one distance class from the ends per round) plus one round
+  // that finds the fixpoint. Each of the 2 branches individualizes one
+  // end and splits the 3 remaining pairs, one per round, until discrete.
+  const DeviceCanon canon = canonicalize_device(device::grid(1, 9));
+  canonicalize_circuit(triangle());
+  const std::vector<obs::Event> events = trace.snapshot();
+  trace.end_capture();
+  EXPECT_TRUE(canon.exact);
+  EXPECT_EQ(rounds_arg(events, "serve.canonicalize.device"), 4 + 2 * 3);
+  EXPECT_GE(rounds_arg(events, "serve.canonicalize.circuit"), 0);
 }
 
 // ---- result transfer ----------------------------------------------------
