@@ -47,7 +47,8 @@ int main() {
                                     std::to_string(n) + "_grid" +
                                     std::to_string(side));
         const layout::Result r =
-            layout::solve_fixed(problem, t_ub, -1, config, budget);
+            layout::solve_fixed(problem, t_ub, -1, config,
+                                layout::Deadline(budget));
         row.push_back(fmt_ms(r.wall_ms, !r.solved));
       }
       table.print_row(row);

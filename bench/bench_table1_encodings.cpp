@@ -78,7 +78,8 @@ int main() {
       double baseline_ms = -1;
       for (std::size_t i = 0; i < configs.size(); ++i) {
         const layout::Result r =
-            layout::solve_fixed(problem, t_ub, -1, configs[i].config, budget);
+            layout::solve_fixed(problem, t_ub, -1, configs[i].config,
+                                layout::Deadline(budget));
         row.push_back(fmt_ms(r.wall_ms, !r.solved));
         if (i == 0) baseline_ms = r.solved ? r.wall_ms : -1;
         if (r.solved && baseline_ms > 0) {

@@ -61,19 +61,24 @@ int main() {
     std::vector<std::string> row = {std::to_string(n) + "/" +
                                     std::to_string(qaoa.num_gates())};
     const layout::Result olsq =
-        layout::solve_fixed(problem, t_ub, swap_limit, olsq_seq, budget);
+        layout::solve_fixed(problem, t_ub, swap_limit, olsq_seq,
+                            layout::Deadline(budget));
     row.push_back(fmt_ms(olsq.wall_ms, !olsq.solved));
     const layout::Result tbo =
-        layout::tb_solve_fixed(problem, blocks, swap_limit, tb_olsq, budget);
+        layout::tb_solve_fixed(problem, blocks, swap_limit, tb_olsq,
+                               layout::Deadline(budget));
     row.push_back(fmt_ms(tbo.wall_ms, !tbo.solved));
     const layout::Result atmost =
-        layout::solve_fixed(problem, t_ub, swap_limit, olsq2_atmost, budget);
+        layout::solve_fixed(problem, t_ub, swap_limit, olsq2_atmost,
+                            layout::Deadline(budget));
     row.push_back(fmt_ms(atmost.wall_ms, !atmost.solved));
     const layout::Result cnf =
-        layout::solve_fixed(problem, t_ub, swap_limit, olsq2_cnf, budget);
+        layout::solve_fixed(problem, t_ub, swap_limit, olsq2_cnf,
+                            layout::Deadline(budget));
     row.push_back(fmt_ms(cnf.wall_ms, !cnf.solved));
     const layout::Result tb2 =
-        layout::tb_solve_fixed(problem, blocks, swap_limit, tb_olsq2_cnf, budget);
+        layout::tb_solve_fixed(problem, blocks, swap_limit, tb_olsq2_cnf,
+                               layout::Deadline(budget));
     row.push_back(fmt_ms(tb2.wall_ms, !tb2.solved));
     if (olsq.solved && tb2.solved && tb2.wall_ms > 0) {
       row.push_back(fmt_ratio(olsq.wall_ms / tb2.wall_ms));

@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
 
   layout::OptimizerOptions options;
   options.time_budget_ms = 120000;
-  options.pareto_patience = 0;
 
   std::cout << "sweeping " << qaoa.label() << " on " << dev.name() << "\n";
   const layout::Result r = layout::synthesize_swap_optimal(problem, {}, options);

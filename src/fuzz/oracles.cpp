@@ -533,7 +533,8 @@ OracleReport check_plan(const Instance& instance) {
     // with one fixed solve at the plan's bound: the plan solution uses one
     // block per SWAP, so swap_count+1 blocks suffice.
     const layout::Result arbiter = layout::tb_solve_fixed(
-        problem, planned.swap_count + 1, planned.swap_count, {}, kBudgetMs);
+        problem, planned.swap_count + 1, planned.swap_count, {},
+        layout::Deadline(kBudgetMs));
     if (arbiter.hit_budget) {
       report.fail(describe(instance) + ": plan: arbitration solve at bound " +
                   std::to_string(planned.swap_count) + " blew the budget");

@@ -22,11 +22,12 @@
 
 #include "circuit/dependency.h"
 #include "encode/totalizer.h"
+#include "layout/search.h"
 #include "layout/types.h"
 
 namespace olsq2::layout {
 
-class Model {
+class Model : public SweepModel {
  public:
   /// Build the full constraint system for depths 0..t_ub-1. When `proof`
   /// is non-null the solver logs a DRAT proof, and when `log_clauses` is
@@ -36,15 +37,16 @@ class Model {
   Model(const Problem& problem, int t_ub, const EncodingConfig& config,
         sat::Proof* proof = nullptr, bool log_clauses = false);
 
-  sat::Solver& solver() { return solver_; }
+  sat::Solver& solver() override { return solver_; }
   int t_ub() const { return t_ub_; }
 
   /// Assumption literal enforcing depth <= t_b (all t_g < t_b). Cached.
   Lit depth_bound(int t_b);
+  Lit horizon_bound(int t_b) override { return depth_bound(t_b); }
 
   /// Assumption literal enforcing total SWAP count <= s_b via a totalizer
   /// (built on first use).
-  Lit swap_bound(int s_b);
+  Lit swap_bound(int s_b) override;
 
   /// Hard-assert the SWAP bound with the chosen one-shot encoding
   /// (sequential counter or adder network) - Table II configurations.
@@ -63,7 +65,7 @@ class Model {
 
   /// Decode the current model into a Result (call after a SAT answer).
   /// Swaps finishing at or after the final depth are dropped as inert.
-  Result extract() const;
+  Result extract() const override;
 
   /// Number of SWAP variables that are true in the current model.
   int count_swaps() const;

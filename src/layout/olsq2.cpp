@@ -1,179 +1,33 @@
 #include "layout/olsq2.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <limits>
 #include <memory>
-#include <thread>
 #include <utility>
-#include <vector>
 
-#include "obs/metrics.h"
+#include "layout/search.h"
 #include "obs/obs.h"
-#include "sat/exchange.h"
 
 namespace olsq2::layout {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// Tracks the optimizer's wall-clock budget across SAT calls.
-class BudgetClock {
- public:
-  explicit BudgetClock(double budget_ms)
-      : start_(Clock::now()), budget_ms_(budget_ms) {}
-
-  double elapsed_ms() const {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start_)
-        .count();
-  }
-
-  bool expired() const {
-    return budget_ms_ > 0 && elapsed_ms() >= budget_ms_;
-  }
-
-  /// Apply the remaining budget to the solver (no-op when unlimited).
-  void arm(sat::Solver& solver) const {
-    solver.clear_budgets();
-    if (budget_ms_ > 0) {
-      const double remaining = std::max(1.0, budget_ms_ - elapsed_ms());
-      solver.set_time_budget(
-          std::chrono::milliseconds(static_cast<std::int64_t>(remaining)));
-    }
-  }
-
- private:
-  Clock::time_point start_;
-  double budget_ms_;
-};
-
-/// Thin nullable view over the shared objective-bound registry; every
-/// accessor degrades to "no facts known" when no exchange is attached.
-struct FactHub {
-  sat::ClauseExchange* ex = nullptr;
-
-  int depth_unsat_max() const { return ex ? ex->depth_unsat_max() : -1; }
-  int depth_sat_min() const {
-    return ex ? ex->depth_sat_min() : std::numeric_limits<int>::max();
-  }
-  void note_depth_unsat(int d) const {
-    if (ex) ex->note_depth_unsat(d);
-  }
-  void note_depth_sat(int d) const {
-    if (ex) ex->note_depth_sat(d);
-  }
-  void note_swap_unsat(int d, int k) const {
-    if (ex) ex->note_swap_unsat(d, k);
-  }
-  bool swap_known_unsat(int d, int k) const {
-    return ex && ex->swap_known_unsat(d, k);
-  }
-  void note_pruned() const {
-    if (ex) ex->note_pruned_call();
-  }
-};
-
-/// One SAT call under assumptions, with bookkeeping: a trace span plus a
-/// SolveCall telemetry record annotated with the assumed bounds and the
-/// solver-stats delta. `depth_bound`/`swap_bound` of -1 mean "not assumed".
-sat::LBool solve_step(Model& model, std::vector<Lit> assumptions,
-                      int depth_bound, int swap_bound, const BudgetClock& clock,
-                      Result& diag) {
-  obs::Span span("olsq2.solve");
-  const double start_ms = clock.elapsed_ms();
-  const sat::Stats before = model.solver().stats();
-  clock.arm(model.solver());
-  const sat::LBool status = model.solver().solve(assumptions);
-  const sat::Stats delta = model.solver().stats() - before;
-
-  SolveCall call;
-  call.depth_bound = depth_bound;
-  call.swap_bound = swap_bound;
-  call.status = status == sat::LBool::kTrue    ? 'S'
-                : status == sat::LBool::kFalse ? 'U'
-                                               : '?';
-  call.conflicts = delta.conflicts;
-  call.propagations = delta.propagations;
-  call.decisions = delta.decisions;
-  call.imported = delta.imported_clauses;
-  call.exported = delta.exported_clauses;
-  call.wall_ms = clock.elapsed_ms() - start_ms;
-  if (span.live()) {
-    span.arg("depth_bound", depth_bound);
-    span.arg("swap_bound", swap_bound);
-    span.arg("result", status == sat::LBool::kTrue    ? "sat"
-                       : status == sat::LBool::kFalse ? "unsat"
-                                                      : "unknown");
-    span.arg("conflicts", delta.conflicts);
-    span.arg("propagations", delta.propagations);
-    span.arg("wall_ms", call.wall_ms);
-    if (call.imported != 0 || call.exported != 0) {
-      span.arg("imported", call.imported);
-      span.arg("exported", call.exported);
-    }
-  }
-
-  diag.sat_calls++;
-  diag.conflicts += delta.conflicts;
-  diag.calls.push_back(call);
-  if (status == sat::LBool::kUndef) diag.hit_budget = true;
-  if (obs::metrics::enabled()) {
-    namespace m = obs::metrics;
-    static m::Histogram& call_ms = m::Registry::instance().histogram(
-        "layout_solve_call_duration_ms",
-        "Wall time of each incremental SAT call in the optimizer loop",
-        {{"engine", "time-resolved"}});
-    static m::Counter& calls = m::Registry::instance().counter(
-        "layout_sat_calls_total", "Incremental SAT calls issued by optimizers",
-        {{"engine", "time-resolved"}});
-    call_ms.observe(call.wall_ms);
-    calls.inc();
-  }
-  return status;
-}
-
-/// Record a bound decided by a shared fact without running the solver.
-void record_pruned(Result& diag, int depth_bound, int swap_bound,
-                   const FactHub& facts) {
-  SolveCall call;
-  call.depth_bound = depth_bound;
-  call.swap_bound = swap_bound;
-  call.status = 'P';
-  diag.calls.push_back(call);
-  facts.note_pruned();
-  if (obs::Trace::instance().enabled()) obs::instant("olsq2.bound_pruned");
-  if (obs::metrics::enabled()) {
-    static obs::metrics::Counter& pruned = obs::metrics::Registry::instance().counter(
-        "layout_pruned_probes_total",
-        "SAT calls skipped because a shared bound fact already decided them");
-    pruned.inc();
-  }
-}
 
 int next_relaxed_bound(int t_b, const OptimizerOptions& options) {
   const double r = t_b < 100 ? options.relax_small : options.relax_large;
   return std::max(t_b + 1, static_cast<int>(std::ceil(r * t_b)));
 }
 
-/// Build a Model wired for this optimizer run: restart policy, cooperative
-/// cancellation, VSIDS seed, and (when sharing is on) the eager bound
-/// materialization + clause-exchange registration. `probe_index`
-/// differentiates speculative probes so their tie-breaking diverges while
-/// staying reproducible.
+/// Build a Model wired for this optimizer run: restart policy, VSIDS seed,
+/// and (when sharing is on) the eager bound materialization +
+/// clause-exchange registration.
 std::unique_ptr<Model> make_configured_model(const Problem& problem, int t_ub,
                                              const EncodingConfig& config,
                                              const OptimizerOptions& options,
-                                             bool with_swaps,
-                                             std::size_t probe_index = 0) {
+                                             bool with_swaps) {
   auto model = std::make_unique<Model>(problem, t_ub, config);
   sat::Solver& solver = model->solver();
   solver.set_restart_policy(options.restart_policy);
-  solver.set_external_interrupt(options.cancel);
-  std::uint64_t seed = options.seed;
-  if (probe_index > 0) seed += probe_index * 0x9E3779B97F4A7C15ULL;
-  solver.set_vsids_seed(seed);
+  solver.set_vsids_seed(options.seed);
   if (options.exchange != nullptr) {
     const std::string group = model->prepare_shared_bounds(with_swaps);
     // Deterministic runs keep bound-fact sharing (it cannot change optima)
@@ -184,17 +38,22 @@ std::unique_ptr<Model> make_configured_model(const Problem& problem, int t_ub,
   return model;
 }
 
+sat::LBool solve_depth(Model& model, int t_b, const Deadline& deadline,
+                       Result& diag) {
+  return solve_call(SearchEngine::kTimeResolved, model.solver(),
+                    {model.depth_bound(t_b)}, t_b, -1, deadline, diag);
+}
+
 struct DepthPhaseOutcome {
   std::unique_ptr<Model> model;  // model in which the solution was found
   Result best;                   // solved=false on budget exhaustion
-  int optimal_depth = -1;
 };
 
 /// Shared depth-optimization phase; also the first stage of the SWAP sweep.
 DepthPhaseOutcome run_depth_phase(const Problem& problem,
                                   const EncodingConfig& config,
                                   const OptimizerOptions& options,
-                                  const BudgetClock& clock, Result& diag,
+                                  const Deadline& deadline, Result& diag,
                                   bool with_swaps) {
   obs::Span phase_span("olsq2.depth_phase");
   const circuit::DependencyGraph deps(*problem.circuit);
@@ -209,7 +68,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
 
   // Phase 1: geometric relaxation until the first satisfying bound.
   while (true) {
-    if (clock.expired()) return out;
+    if (deadline.expired()) return out;
     // Shared facts: skip past bounds a portfolio peer already refuted, and
     // never relax beyond a bound a peer already proved satisfiable.
     if (t_b <= facts.depth_unsat_max() && t_b < t_ub) {
@@ -221,8 +80,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
     }
     const int sat_cap = facts.depth_sat_min();
     if (t_b > sat_cap && sat_cap >= t_lb && sat_cap < t_ub) t_b = sat_cap;
-    const sat::LBool status =
-        solve_step(*model, {model->depth_bound(t_b)}, t_b, -1, clock, diag);
+    const sat::LBool status = solve_depth(*model, t_b, deadline, diag);
     if (status == sat::LBool::kUndef) return out;
     if (status == sat::LBool::kTrue) break;
     facts.note_depth_unsat(t_b >= t_ub ? t_ub : t_b);
@@ -246,7 +104,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
   // Phase 2: decrement to the first UNSAT.
   t_b = out.best.depth - 1;
   while (t_b >= t_lb) {
-    if (clock.expired()) break;
+    if (deadline.expired()) break;
     if (t_b <= facts.depth_unsat_max()) {
       // A peer already proved this bound (hence everything below it)
       // unsatisfiable: the incumbent is optimal.
@@ -257,8 +115,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
       model =
           make_configured_model(problem, t_ub, config, options, with_swaps);
     }
-    const sat::LBool status =
-        solve_step(*model, {model->depth_bound(t_b)}, t_b, -1, clock, diag);
+    const sat::LBool status = solve_depth(*model, t_b, deadline, diag);
     if (status == sat::LBool::kFalse) facts.note_depth_unsat(t_b);
     if (status != sat::LBool::kTrue) break;
     out.best = model->extract();
@@ -266,306 +123,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
     t_b = out.best.depth - 1;
   }
   out.model = std::move(model);
-  out.optimal_depth = out.best.depth;
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Speculative parallel bound search (OptimizerOptions::parallel_probes > 1).
-//
-// The sequential optimizer walks a relax-then-decrement chain of SAT calls
-// whose *bounds* are known in advance up to monotone reconciliation: SAT at
-// depth d implies SAT at every d' >= d, UNSAT implies UNSAT below. So each
-// round launches probes at the next several candidate bounds concurrently -
-// one cloned model per probe, all attached to one clause exchange - and
-// reconciles the answers, cutting the chain's critical path by the probe
-// count while provably returning the same optimum.
-// ---------------------------------------------------------------------------
-
-/// One probe's answer for a round candidate.
-struct ProbeOutcome {
-  sat::LBool status = sat::LBool::kUndef;
-  Result extracted;  // valid when status == kTrue
-  Result diag;       // this probe's SolveCall records
-};
-
-/// A pool of cloned models, one per concurrent probe, rebuilt when the
-/// depth horizon grows.
-class ProbeSet {
- public:
-  ProbeSet(const Problem& problem, const EncodingConfig& config,
-           const OptimizerOptions& options, bool with_swaps)
-      : problem_(problem),
-        config_(config),
-        options_(options),
-        with_swaps_(with_swaps) {}
-
-  int t_ub() const { return t_ub_; }
-
-  /// Make `count` probes exist at horizon `t_ub` (drops and rebuilds all
-  /// probes when the horizon changes). Model construction is parallel -
-  /// each clone is independent.
-  void ensure(int count, int t_ub) {
-    if (t_ub != t_ub_) probes_.clear();
-    t_ub_ = t_ub;
-    const std::size_t have = probes_.size();
-    const std::size_t want = static_cast<std::size_t>(count);
-    if (have >= want) return;
-    obs::Span span("olsq2.build_probes");
-    probes_.resize(want);
-    std::vector<std::thread> threads;
-    for (std::size_t i = have; i < want; ++i) {
-      threads.emplace_back([this, i] {
-        probes_[i] = make_configured_model(problem_, t_ub_, config_, options_,
-                                           with_swaps_, i);
-      });
-    }
-    for (auto& t : threads) t.join();
-    if (span.live()) {
-      span.arg("probes", static_cast<std::uint64_t>(want - have));
-      span.arg("t_ub", t_ub_);
-    }
-  }
-
-  /// Solve the given (depth_bound, swap_bound) candidates concurrently,
-  /// one probe per candidate (requires candidates.size() <= probe count).
-  /// -1 means "bound not assumed".
-  std::vector<ProbeOutcome> round(
-      const std::vector<std::pair<int, int>>& candidates,
-      const BudgetClock& clock) {
-    std::vector<ProbeOutcome> out(candidates.size());
-    std::vector<std::thread> threads;
-    threads.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      threads.emplace_back([this, &candidates, &clock, &out, i] {
-        Model& model = *probes_[i];
-        const auto [db, sb] = candidates[i];
-        std::vector<Lit> assumptions;
-        if (db >= 0) assumptions.push_back(model.depth_bound(db));
-        if (sb >= 0) assumptions.push_back(model.swap_bound(sb));
-        ProbeOutcome& o = out[i];
-        o.status = solve_step(model, std::move(assumptions), db, sb, clock,
-                              o.diag);
-        if (o.status == sat::LBool::kTrue) o.extracted = model.extract();
-      });
-    }
-    for (auto& t : threads) t.join();
-    return out;
-  }
-
- private:
-  const Problem& problem_;
-  const EncodingConfig& config_;
-  const OptimizerOptions& options_;
-  bool with_swaps_;
-  int t_ub_ = -1;
-  std::vector<std::unique_ptr<Model>> probes_;
-};
-
-/// Fold one round's per-probe diagnostics into the run-wide record, in
-/// candidate order so telemetry stays deterministic.
-void merge_round_diag(Result& diag, std::vector<ProbeOutcome>& outcomes) {
-  for (ProbeOutcome& o : outcomes) {
-    diag.sat_calls += o.diag.sat_calls;
-    diag.conflicts += o.diag.conflicts;
-    diag.hit_budget = diag.hit_budget || o.diag.hit_budget;
-    for (SolveCall& c : o.diag.calls) diag.calls.push_back(c);
-  }
-}
-
-/// Parallel analog of run_depth_phase: rounds of speculative probes over
-/// the relaxation ladder, then over the decrement chain. Returns the same
-/// optimum as the sequential walk (SAT/UNSAT monotonicity).
-Result parallel_depth_phase(ProbeSet& probes, const Problem& problem,
-                            const OptimizerOptions& options,
-                            const BudgetClock& clock, Result& diag,
-                            int num_probes) {
-  obs::Span phase_span("olsq2.depth_phase_parallel");
-  const circuit::DependencyGraph deps(*problem.circuit);
-  const int t_lb = deps.longest_chain();
-  int t_ub = deps.default_upper_bound();
-  const FactHub facts{options.exchange};
-
-  Result best;  // solved = false until the first SAT
-
-  // Phase 1: relaxation ladder, `num_probes` rungs at a time.
-  int t_b = t_lb;
-  while (!best.solved) {
-    if (clock.expired() || diag.hit_budget) return best;
-    if (facts.depth_unsat_max() >= t_ub) {
-      // A peer refuted the whole current horizon: grow it straight away.
-      t_ub = next_relaxed_bound(t_ub, options);
-      continue;
-    }
-    probes.ensure(num_probes, t_ub);
-    t_b = std::max(t_b, facts.depth_unsat_max() + 1);
-    const int cap =
-        std::min(t_ub, std::max(facts.depth_sat_min(), t_lb));
-    if (t_b > cap) t_b = cap;
-    std::vector<std::pair<int, int>> candidates;
-    int rung = t_b;
-    while (static_cast<int>(candidates.size()) < num_probes) {
-      candidates.emplace_back(rung, -1);
-      if (rung >= cap) break;
-      rung = std::min(next_relaxed_bound(rung, options), cap);
-    }
-    auto outcomes = probes.round(candidates, clock);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const int d = candidates[i].first;
-      if (outcomes[i].status == sat::LBool::kFalse) {
-        facts.note_depth_unsat(d >= t_ub ? t_ub : d);
-        t_b = std::max(t_b, d + 1);
-      } else if (outcomes[i].status == sat::LBool::kTrue) {
-        if (!best.solved || outcomes[i].extracted.depth < best.depth) {
-          best = outcomes[i].extracted;
-        }
-      }
-    }
-    merge_round_diag(diag, outcomes);
-    if (!best.solved) {
-      if (diag.hit_budget) return best;
-      if (t_b > t_ub) {
-        // The unconstrained horizon itself is UNSAT: grow it and rebuild
-        // every probe (paper §III-B1).
-        t_ub = next_relaxed_bound(t_ub, options);
-        t_b = std::max(t_b, t_lb);
-      }
-    }
-  }
-  facts.note_depth_sat(best.depth);
-
-  // Phase 2: decrement chain, `num_probes` bounds per round. Monotonicity
-  // makes every answer useful: SATs lower the incumbent, UNSATs raise the
-  // proven floor; the phase ends when they meet.
-  while (true) {
-    const int floor = std::max(t_lb, facts.depth_unsat_max() + 1);
-    if (best.depth <= floor) break;
-    if (clock.expired() || diag.hit_budget) break;
-    std::vector<std::pair<int, int>> candidates;
-    for (int d = best.depth - 1;
-         d >= floor && static_cast<int>(candidates.size()) < num_probes; --d) {
-      candidates.emplace_back(d, -1);
-    }
-    auto outcomes = probes.round(candidates, clock);
-    bool progress = false;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const int d = candidates[i].first;
-      if (outcomes[i].status == sat::LBool::kFalse) {
-        facts.note_depth_unsat(d);
-        progress = true;
-      } else if (outcomes[i].status == sat::LBool::kTrue) {
-        if (outcomes[i].extracted.depth < best.depth) {
-          best = outcomes[i].extracted;
-          facts.note_depth_sat(best.depth);
-        }
-        progress = true;
-      }
-    }
-    merge_round_diag(diag, outcomes);
-    if (!progress) break;  // every probe expired
-  }
-  return best;
-}
-
-void merge_diagnostics(Result& result, Result& diag, const BudgetClock& clock) {
-  result.sat_calls = diag.sat_calls;
-  result.conflicts = diag.conflicts;
-  result.hit_budget = diag.hit_budget || clock.expired();
-  result.wall_ms = clock.elapsed_ms();
-  result.calls = std::move(diag.calls);
-}
-
-/// Parallel SWAP descent at one depth bound: probe several tightened SWAP
-/// bounds per round; SAT monotonicity in the bound reconciles. Updates
-/// `best` in place; returns false when the budget expired mid-descent.
-bool parallel_swap_descent(ProbeSet& probes, int depth_bound, Result& best,
-                           const OptimizerOptions& options,
-                           const BudgetClock& clock, Result& diag,
-                           int num_probes) {
-  const FactHub facts{options.exchange};
-  // First round only: probe the externally-supplied SWAP upper bound as an
-  // extra ladder rung (see OptimizerOptions::swap_upper_hint). Monotone
-  // reconciliation absorbs either answer, so any hint value is sound.
-  bool hint_pending = options.swap_upper_hint >= 0;
-  while (best.swap_count > 0) {
-    if (clock.expired() || diag.hit_budget) return false;
-    const int incumbent = best.swap_count;
-    if (facts.swap_known_unsat(depth_bound, incumbent - 1)) {
-      record_pruned(diag, depth_bound, incumbent - 1, facts);
-      return true;  // the incumbent is optimal at this depth
-    }
-    std::vector<std::pair<int, int>> candidates;
-    if (hint_pending && options.swap_upper_hint < incumbent - 1) {
-      candidates.emplace_back(depth_bound, options.swap_upper_hint);
-    }
-    hint_pending = false;
-    for (int k = incumbent - 1;
-         k >= 0 && static_cast<int>(candidates.size()) < num_probes; --k) {
-      candidates.emplace_back(depth_bound, k);
-    }
-    auto outcomes = probes.round(candidates, clock);
-    int proven_floor = -1;  // largest k proved UNSAT this round
-    bool any_answer = false;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const int k = candidates[i].second;
-      if (outcomes[i].status == sat::LBool::kFalse) {
-        facts.note_swap_unsat(depth_bound, k);
-        proven_floor = std::max(proven_floor, k);
-        any_answer = true;
-      } else if (outcomes[i].status == sat::LBool::kTrue) {
-        const Result& cand = outcomes[i].extracted;
-        if (cand.swap_count < best.swap_count ||
-            (cand.swap_count == best.swap_count && cand.depth < best.depth)) {
-          best = cand;
-        }
-        any_answer = true;
-      }
-    }
-    merge_round_diag(diag, outcomes);
-    if (!any_answer) return false;  // every probe expired
-    // UNSAT at (or above) the next bound to try closes the gap: the
-    // incumbent is optimal for this depth.
-    if (proven_floor >= best.swap_count - 1) return true;
-  }
-  return true;  // descended to zero swaps
-}
-
-Result synthesize_swap_optimal_parallel(const Problem& problem,
-                                        const EncodingConfig& config,
-                                        const OptimizerOptions& options,
-                                        const BudgetClock& clock,
-                                        int num_probes) {
-  Result diag;
-  ProbeSet probes(problem, config, options, /*with_swaps=*/true);
-  Result best =
-      parallel_depth_phase(probes, problem, options, clock, diag, num_probes);
-  if (!best.solved) {
-    Result result = best;
-    merge_diagnostics(result, diag, clock);
-    return result;
-  }
-
-  std::vector<std::pair<int, int>> pareto;
-  int depth_bound = best.depth;
-  int prev_depth_swaps = -1;
-  while (true) {
-    obs::Span sweep_span("olsq2.swap_sweep");
-    sweep_span.arg("depth_bound", depth_bound);
-    const bool in_budget = parallel_swap_descent(
-        probes, depth_bound, best, options, clock, diag, num_probes);
-    pareto.emplace_back(depth_bound, best.swap_count);
-    if (best.swap_count == 0 || !in_budget) break;
-    if (prev_depth_swaps >= 0 && best.swap_count >= prev_depth_swaps) break;
-    prev_depth_swaps = best.swap_count;
-    depth_bound++;
-    if (depth_bound >= probes.t_ub()) {
-      probes.ensure(num_probes,
-                    static_cast<int>(std::ceil(1.5 * probes.t_ub())));
-    }
-  }
-  best.pareto = std::move(pareto);
-  merge_diagnostics(best, diag, clock);
-  return best;
 }
 
 }  // namespace
@@ -574,25 +132,12 @@ Result synthesize_depth_optimal(const Problem& problem,
                                 const EncodingConfig& config,
                                 const OptimizerOptions& options) {
   obs::Span span("olsq2.depth_optimal");
-  const BudgetClock clock(options.time_budget_ms);
-  if (options.parallel_probes > 1) {
-    // Speculative parallel bound search: give the probes a private
-    // exchange when the caller did not supply a portfolio-wide one.
-    sat::ClauseExchange private_hub;
-    OptimizerOptions opt = options;
-    if (opt.exchange == nullptr) opt.exchange = &private_hub;
-    Result diag;
-    ProbeSet probes(problem, config, opt, /*with_swaps=*/false);
-    Result result = parallel_depth_phase(probes, problem, opt, clock, diag,
-                                         options.parallel_probes);
-    merge_diagnostics(result, diag, clock);
-    return result;
-  }
+  const Deadline deadline(options.time_budget_ms, options.cancel);
   Result diag;
-  DepthPhaseOutcome outcome = run_depth_phase(problem, config, options, clock,
-                                              diag, /*with_swaps=*/false);
-  Result result = outcome.best;
-  merge_diagnostics(result, diag, clock);
+  Result result = run_depth_phase(problem, config, options, deadline, diag,
+                                  /*with_swaps=*/false)
+                      .best;
+  finish(result, diag, deadline);
   return result;
 }
 
@@ -600,112 +145,52 @@ Result synthesize_swap_optimal(const Problem& problem,
                                const EncodingConfig& config,
                                const OptimizerOptions& options) {
   obs::Span span("olsq2.swap_optimal");
-  const BudgetClock clock(options.time_budget_ms);
-  if (options.parallel_probes > 1) {
-    sat::ClauseExchange private_hub;
-    OptimizerOptions opt = options;
-    if (opt.exchange == nullptr) opt.exchange = &private_hub;
-    return synthesize_swap_optimal_parallel(problem, config, opt, clock,
-                                            options.parallel_probes);
-  }
+  const Deadline deadline(options.time_budget_ms, options.cancel);
   Result diag;
-  DepthPhaseOutcome outcome = run_depth_phase(problem, config, options, clock,
-                                              diag, /*with_swaps=*/true);
+  DepthPhaseOutcome outcome = run_depth_phase(problem, config, options,
+                                              deadline, diag,
+                                              /*with_swaps=*/true);
   if (!outcome.best.solved) {
-    Result result = outcome.best;
-    merge_diagnostics(result, diag, clock);
-    return result;
+    finish(outcome.best, diag, deadline);
+    return outcome.best;
   }
 
-  const FactHub facts{options.exchange};
-  Model* model = outcome.model.get();
-  std::unique_ptr<Model> rebuilt;  // owns any later, larger-horizon model
-  Result best = outcome.best;
-  std::vector<std::pair<int, int>> pareto;
-  int depth_bound = outcome.optimal_depth;
-  int prev_depth_swaps = -1;
-
-  while (true) {
-    // Iterative descent on the SWAP bound at this depth (paper §III-B2):
-    // start from the incumbent solution's count and tighten by one.
-    obs::Span sweep_span("olsq2.swap_sweep");
-    sweep_span.arg("depth_bound", depth_bound);
-    int incumbent = best.swap_count;
-    // One jump probe per depth sweep at the externally-supplied upper
-    // bound (e.g. the planning engine's incumbent): SAT teleports the
-    // descent, UNSAT is a true (depth, hint) fact and the classic
-    // decrement resumes - sound for arbitrary hint values.
-    bool try_hint = options.swap_upper_hint >= 0;
-    while (incumbent > 0) {
-      if (clock.expired()) break;
-      const bool jump = try_hint && options.swap_upper_hint < incumbent - 1;
-      const int target = jump ? options.swap_upper_hint : incumbent - 1;
-      try_hint = false;
-      if (facts.swap_known_unsat(depth_bound, target)) {
-        // A peer proved (depth <= d, swaps <= k) empty; our query is a
-        // subset of that region.
-        record_pruned(diag, depth_bound, target, facts);
-        if (jump) continue;  // hint region empty here; classic descent
-        break;
-      }
-      const std::vector<Lit> assumptions = {
-          model->depth_bound(depth_bound),
-          model->swap_bound(target)};
-      const sat::LBool status = solve_step(*model, assumptions, depth_bound,
-                                           target, clock, diag);
-      if (status == sat::LBool::kFalse) {
-        facts.note_swap_unsat(depth_bound, target);
-        if (jump) continue;  // failed jump: resume the one-by-one descent
-      }
-      if (status != sat::LBool::kTrue) break;
-      Result candidate = model->extract();
-      if (candidate.swap_count < best.swap_count ||
-          (candidate.swap_count == best.swap_count &&
-           candidate.depth < best.depth)) {
-        best = candidate;
-      }
-      incumbent = std::min(target, candidate.swap_count);
-    }
-    pareto.emplace_back(depth_bound, best.swap_count);
-
-    // Termination: optimum cannot improve, the previous depth relaxation
-    // brought no gain (Pareto-terminal, paper condition 2), or the budget
-    // is gone.
-    if (best.swap_count == 0 || clock.expired() || diag.hit_budget) break;
-    if (prev_depth_swaps >= 0 && best.swap_count >= prev_depth_swaps) break;
-    prev_depth_swaps = best.swap_count;
-
-    // Relax the depth bound by one, regenerating a larger-horizon model if
-    // the current one cannot represent it.
-    depth_bound++;
+  // Relaxing past the model's horizon regenerates it 1.5x larger.
+  std::unique_ptr<Model> model = std::move(outcome.model);
+  const ModelAt model_at = [&](int depth_bound) -> SweepModel& {
     if (depth_bound >= model->t_ub()) {
-      const int new_ub = static_cast<int>(std::ceil(1.5 * model->t_ub()));
-      rebuilt = make_configured_model(problem, new_ub, config, options,
-                                      /*with_swaps=*/true);
-      model = rebuilt.get();
+      model = make_configured_model(
+          problem, static_cast<int>(std::ceil(1.5 * model->t_ub())), config,
+          options, /*with_swaps=*/true);
     }
-  }
-
-  best.pareto = std::move(pareto);
-  merge_diagnostics(best, diag, clock);
+    return *model;
+  };
+  Result best = sweep_swaps(SearchEngine::kTimeResolved, *model, model_at,
+                            outcome.best, outcome.best.depth,
+                            options.swap_upper_hint,
+                            FactHub{options.exchange}, deadline, diag);
+  finish(best, diag, deadline);
   return best;
 }
 
 Result solve_fixed(const Problem& problem, int t_ub, int swap_bound,
-                   const EncodingConfig& config, double time_budget_ms) {
+                   const EncodingConfig& config, const Deadline& deadline) {
   obs::Span span("olsq2.solve_fixed");
   span.arg("t_ub", t_ub);
-  const BudgetClock clock(time_budget_ms);
   Result diag;
-  Model model(problem, t_ub, config);
-  if (swap_bound >= 0) {
-    model.assert_swap_bound_hard(swap_bound, config.cardinality);
-  }
-  const sat::LBool status =
-      solve_step(model, {}, /*depth_bound=*/-1, swap_bound, clock, diag);
   Result result;
-  if (status == sat::LBool::kTrue) result = model.extract();
-  merge_diagnostics(result, diag, clock);
+  if (!deadline.expired()) {
+    Model model(problem, t_ub, config);
+    if (swap_bound >= 0) {
+      model.assert_swap_bound_hard(swap_bound, config.cardinality);
+    }
+    if (solve_call(SearchEngine::kTimeResolved, model.solver(), {},
+                   /*bound=*/-1, swap_bound, deadline,
+                   diag) == sat::LBool::kTrue) {
+      result = model.extract();
+    }
+  }
+  finish(result, diag, deadline);
   return result;
 }
 

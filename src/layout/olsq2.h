@@ -11,6 +11,7 @@
 #pragma once
 
 #include "layout/model.h"
+#include "layout/search.h"
 #include "layout/types.h"
 
 namespace olsq2::layout {
@@ -32,9 +33,10 @@ Result synthesize_swap_optimal(const Problem& problem,
 /// used for the paper's encoding studies (Tables I and II). Solves the model
 /// with depth horizon `t_ub` and, when `swap_bound >= 0`, a hard SWAP-count
 /// constraint in the configured cardinality encoding. Returns the decoded
-/// result if SAT.
+/// result if SAT. An already expired `deadline` returns hit_budget without
+/// encoding or solving.
 Result solve_fixed(const Problem& problem, int t_ub, int swap_bound,
                    const EncodingConfig& config = {},
-                   double time_budget_ms = 0.0);
+                   const Deadline& deadline = Deadline());
 
 }  // namespace olsq2::layout

@@ -1,0 +1,233 @@
+#include "layout/search.h"
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <utility>
+
+#include "obs/metrics.h"
+#include "obs/obs.h"
+#include "sat/exchange.h"
+
+namespace olsq2::layout {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+struct EngineNames {
+  const char* solve_span;
+  const char* sweep_span;
+  const char* bound_key;
+  const char* label;
+};
+
+const EngineNames& names(SearchEngine engine) {
+  static constexpr EngineNames kNames[] = {
+      {"olsq2.solve", "olsq2.swap_sweep", "depth_bound", "time-resolved"},
+      {"tb.solve", "tb.swap_sweep", "block_bound", "transition-based"}};
+  return kNames[static_cast<int>(engine)];
+}
+
+}  // namespace
+
+Deadline::Deadline(double budget_ms, const std::atomic<bool>* cancel)
+    : start_(Clock::now()), budget_ms_(budget_ms), cancel_(cancel) {}
+
+double Deadline::elapsed_ms() const {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start_)
+      .count();
+}
+
+double Deadline::remaining_ms() const {
+  if (budget_ms_ <= 0) return std::numeric_limits<double>::infinity();
+  return std::max(0.0, budget_ms_ - elapsed_ms());
+}
+
+bool Deadline::expired() const {
+  return budget_ms_ > 0 && elapsed_ms() >= budget_ms_;
+}
+
+bool Deadline::cancelled() const {
+  return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
+}
+
+void Deadline::arm(sat::Solver& solver) const {
+  solver.clear_budgets();
+  if (budget_ms_ > 0) {
+    solver.set_time_budget(std::chrono::milliseconds(
+        static_cast<std::int64_t>(std::max(1.0, remaining_ms()))));
+  }
+  solver.set_external_interrupt(cancel_);
+}
+
+int FactHub::depth_unsat_max() const {
+  return ex ? ex->depth_unsat_max() : -1;
+}
+int FactHub::depth_sat_min() const {
+  return ex ? ex->depth_sat_min() : std::numeric_limits<int>::max();
+}
+void FactHub::note_depth_unsat(int d) const {
+  if (ex) ex->note_depth_unsat(d);
+}
+void FactHub::note_depth_sat(int d) const {
+  if (ex) ex->note_depth_sat(d);
+}
+void FactHub::note_swap_unsat(int d, int k) const {
+  if (ex) ex->note_swap_unsat(d, k);
+}
+bool FactHub::swap_known_unsat(int d, int k) const {
+  return ex && ex->swap_known_unsat(d, k);
+}
+
+sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
+                      const std::vector<Lit>& assumptions, int bound,
+                      int swap_bound, const Deadline& deadline, Result& diag) {
+  const EngineNames& n = names(engine);
+  obs::Span span(n.solve_span);
+  const double start_ms = deadline.elapsed_ms();
+  const sat::Stats before = solver.stats();
+  deadline.arm(solver);
+  const sat::LBool status = solver.solve(assumptions);
+  const sat::Stats delta = solver.stats() - before;
+
+  SolveCall call;
+  call.depth_bound = bound;
+  call.swap_bound = swap_bound;
+  call.status = status == sat::LBool::kTrue    ? 'S'
+                : status == sat::LBool::kFalse ? 'U'
+                                               : '?';
+  call.conflicts = delta.conflicts;
+  call.propagations = delta.propagations;
+  call.decisions = delta.decisions;
+  call.imported = delta.imported_clauses;
+  call.exported = delta.exported_clauses;
+  call.wall_ms = deadline.elapsed_ms() - start_ms;
+  if (span.live()) {
+    span.arg(n.bound_key, bound);
+    span.arg("swap_bound", swap_bound);
+    span.arg("result", status == sat::LBool::kTrue    ? "sat"
+                       : status == sat::LBool::kFalse ? "unsat"
+                                                      : "unknown");
+    span.arg("conflicts", delta.conflicts);
+    span.arg("propagations", delta.propagations);
+    span.arg("wall_ms", call.wall_ms);
+    if (call.imported != 0 || call.exported != 0) {
+      span.arg("imported", call.imported);
+      span.arg("exported", call.exported);
+    }
+  }
+
+  diag.sat_calls++;
+  diag.conflicts += delta.conflicts;
+  diag.calls.push_back(call);
+  if (status == sat::LBool::kUndef) diag.hit_budget = true;
+  if (obs::metrics::enabled()) {
+    obs::metrics::Registry& registry = obs::metrics::Registry::instance();
+    const obs::metrics::Labels labels{{"engine", n.label}};
+    registry
+        .histogram("layout_solve_call_duration_ms",
+                   "Wall time of each incremental SAT call in the optimizer "
+                   "loop",
+                   labels)
+        .observe(call.wall_ms);
+    registry
+        .counter("layout_sat_calls_total",
+                 "Incremental SAT calls issued by optimizers", labels)
+        .inc();
+  }
+  return status;
+}
+
+void record_pruned(Result& diag, int bound, int swap_bound,
+                   const FactHub& facts) {
+  SolveCall call;
+  call.depth_bound = bound;
+  call.swap_bound = swap_bound;
+  call.status = 'P';
+  diag.calls.push_back(call);
+  if (facts.ex) facts.ex->note_pruned_call();
+  if (obs::Trace::instance().enabled()) obs::instant("olsq2.bound_pruned");
+  if (obs::metrics::enabled()) {
+    static obs::metrics::Counter& pruned =
+        obs::metrics::Registry::instance().counter(
+            "layout_pruned_probes_total",
+            "SAT calls skipped because a shared bound fact already decided "
+            "them");
+    pruned.inc();
+  }
+}
+
+Result sweep_swaps(SearchEngine engine, SweepModel& model,
+                   const ModelAt& model_at, Result best, int bound,
+                   int swap_upper_hint, const FactHub& facts,
+                   const Deadline& deadline, Result& diag) {
+  SweepModel* current = &model;
+  std::vector<std::pair<int, int>> pareto;
+  int prev_bound_swaps = -1;
+
+  while (true) {
+    // Iterative descent on the SWAP bound at this horizon: start from the
+    // incumbent's count and tighten by one.
+    obs::Span sweep_span(names(engine).sweep_span);
+    sweep_span.arg(names(engine).bound_key, bound);
+    int incumbent = best.swap_count;
+    // One jump probe per horizon at the externally-supplied upper bound
+    // (e.g. the planning engine's incumbent): SAT teleports the descent,
+    // UNSAT is a true (horizon, hint) fact and the classic decrement
+    // resumes - sound for arbitrary hint values.
+    bool try_hint = swap_upper_hint >= 0;
+    while (incumbent > 0) {
+      if (deadline.expired()) break;
+      const bool jump = try_hint && swap_upper_hint < incumbent - 1;
+      const int target = jump ? swap_upper_hint : incumbent - 1;
+      try_hint = false;
+      if (facts.swap_known_unsat(bound, target)) {
+        // A peer proved (horizon <= bound, swaps <= target) empty; our
+        // query is a subset of that region.
+        record_pruned(diag, bound, target, facts);
+        if (jump) continue;  // hint region empty here; classic descent
+        break;
+      }
+      const std::vector<Lit> assumptions = {current->horizon_bound(bound),
+                                            current->swap_bound(target)};
+      const sat::LBool status = solve_call(engine, current->solver(),
+                                           assumptions, bound, target,
+                                           deadline, diag);
+      if (status == sat::LBool::kFalse) {
+        facts.note_swap_unsat(bound, target);
+        if (jump) continue;  // failed jump: resume the one-by-one descent
+      }
+      if (status != sat::LBool::kTrue) break;
+      Result candidate = current->extract();
+      if (candidate.swap_count < best.swap_count ||
+          (candidate.swap_count == best.swap_count &&
+           candidate.depth < best.depth)) {
+        best = candidate;
+      }
+      incumbent = std::min(target, candidate.swap_count);
+    }
+    pareto.emplace_back(bound, best.swap_count);
+
+    // Termination: the optimum cannot improve, the previous relaxation
+    // brought no gain (Pareto-terminal, paper condition 2), or the budget
+    // is gone.
+    if (best.swap_count == 0 || deadline.expired() || diag.hit_budget) break;
+    if (prev_bound_swaps >= 0 && best.swap_count >= prev_bound_swaps) break;
+    prev_bound_swaps = best.swap_count;
+    current = &model_at(++bound);
+  }
+
+  best.pareto = std::move(pareto);
+  return best;
+}
+
+void finish(Result& result, Result& diag, const Deadline& deadline) {
+  result.sat_calls = diag.sat_calls;
+  result.conflicts = diag.conflicts;
+  result.hit_budget = diag.hit_budget || deadline.expired();
+  result.wall_ms = deadline.elapsed_ms();
+  result.calls = std::move(diag.calls);
+}
+
+}  // namespace olsq2::layout

@@ -1,0 +1,106 @@
+// The bound-search driver shared by the OLSQ2 and TB engines (DESIGN.md
+// §8.1): the deadline, the SAT-call emitter that fills every SolveCall, the
+// 2-D Pareto SWAP sweep (paper §III-B2) and the diagnostics merge. Each
+// engine keeps its own horizon walk - depth relax-then-decrement for
+// OLSQ2, a +1 block walk for TB - because those differ in real ways.
+#pragma once
+
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <vector>
+
+#include "layout/types.h"
+
+namespace olsq2::layout {
+
+/// Wall-clock budget and cancellation token of one search.
+class Deadline {
+ public:
+  /// `budget_ms <= 0` means unlimited; `cancel` may be null.
+  explicit Deadline(double budget_ms = 0.0,
+                    const std::atomic<bool>* cancel = nullptr);
+
+  double elapsed_ms() const;
+  /// Budget left (0 once spent); +infinity when unlimited.
+  double remaining_ms() const;
+  bool expired() const;
+  bool cancelled() const;
+
+  /// Prepare `solver` for its next call: clear its budgets, give it the
+  /// remaining time (at least 1 ms) and install the cancel token.
+  void arm(sat::Solver& solver) const;
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+  double budget_ms_;
+  const std::atomic<bool>* cancel_;
+};
+
+/// Which engine a call belongs to. It picks the span names, the span's
+/// bound key and the metric label, so traces and metrics keep one
+/// vocabulary per engine: olsq2.solve / depth_bound / time-resolved and
+/// tb.solve / block_bound / transition-based.
+enum class SearchEngine { kTimeResolved, kTransitionBased };
+
+/// Nullable view over the shared objective-bound registry; every accessor
+/// degrades to "no facts known" when no exchange is attached.
+struct FactHub {
+  sat::ClauseExchange* ex = nullptr;
+
+  int depth_unsat_max() const;
+  int depth_sat_min() const;
+  void note_depth_unsat(int d) const;
+  void note_depth_sat(int d) const;
+  void note_swap_unsat(int d, int k) const;
+  bool swap_known_unsat(int d, int k) const;
+};
+
+/// One SAT call under `assumptions`, armed by `deadline`: a trace span, a
+/// SolveCall record and the per-engine call metrics, accumulated into
+/// `diag`. `bound`/`swap_bound` of -1 mean "not assumed". The only place
+/// a SolveCall is filled.
+sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
+                      const std::vector<Lit>& assumptions, int bound,
+                      int swap_bound, const Deadline& deadline, Result& diag);
+
+/// Record a bound decided by a shared fact without running the solver.
+void record_pruned(Result& diag, int bound, int swap_bound,
+                   const FactHub& facts);
+
+/// What the SWAP sweep needs from an engine model: a solver and two
+/// assumption literals, horizon <= `bound` and SWAPs <= `swaps`. Models
+/// are owned as their concrete type, never deleted through this interface.
+class SweepModel {
+ public:
+  virtual sat::Solver& solver() = 0;
+  virtual Lit horizon_bound(int bound) = 0;
+  virtual Lit swap_bound(int swaps) = 0;
+  virtual Result extract() const = 0;
+
+ protected:
+  ~SweepModel() = default;
+};
+
+/// Returns a model able to represent horizon `bound`, growing it by the
+/// engine's own rule when needed.
+using ModelAt = std::function<SweepModel&(int bound)>;
+
+/// The 2-D Pareto sweep (paper §III-B2). At each horizon, starting from
+/// `bound` on `model` with incumbent `best`, tighten the SWAP bound one
+/// below the incumbent until UNSAT; then relax the horizon by one (through
+/// `model_at`) while the SWAP count keeps improving. A non-negative
+/// `swap_upper_hint` is jump-probed once per horizon before the decrement
+/// (OptimizerOptions::swap_upper_hint). Facts in `facts` prune calls and
+/// receive every UNSAT. Returns the best solution, with `pareto` set.
+Result sweep_swaps(SearchEngine engine, SweepModel& model,
+                   const ModelAt& model_at, Result best, int bound,
+                   int swap_upper_hint, const FactHub& facts,
+                   const Deadline& deadline, Result& diag);
+
+/// Move the search diagnostics in `diag` into `result`. The result reports
+/// hit_budget when any call ran out of budget or the deadline has passed,
+/// so a search cut between two calls never claims a finished proof.
+void finish(Result& result, Result& diag, const Deadline& deadline);
+
+}  // namespace olsq2::layout

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cmath>
 
 #include "encode/cardinality.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 
 namespace olsq2::layout {
@@ -285,79 +282,13 @@ Result TbModel::extract() const {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-struct TbSearch {
-  Clock::time_point start = Clock::now();
-  double budget_ms = 0.0;
-  sat::Solver::RestartPolicy restart_policy =
-      sat::Solver::RestartPolicy::kGlucose;
-  const std::atomic<bool>* cancel = nullptr;
-  Result diag;
-
-  double elapsed_ms() const {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start)
-        .count();
-  }
-  bool expired() const { return budget_ms > 0 && elapsed_ms() >= budget_ms; }
-
-  /// One SAT call: trace span + per-call telemetry. `block_bound` and
-  /// `swap_bound` of -1 mean "not assumed".
-  sat::LBool solve(TbModel& model, std::vector<Lit> assumptions,
-                   int block_bound, int swap_bound) {
-    obs::Span span("tb.solve");
-    const double start_ms = elapsed_ms();
-    const sat::Stats before = model.solver().stats();
-    model.solver().clear_budgets();
-    if (budget_ms > 0) {
-      const double remaining = std::max(1.0, budget_ms - elapsed_ms());
-      model.solver().set_time_budget(
-          std::chrono::milliseconds(static_cast<std::int64_t>(remaining)));
-    }
-    const sat::LBool status = model.solver().solve(assumptions);
-    const sat::Stats delta = model.solver().stats() - before;
-
-    SolveCall call;
-    call.depth_bound = block_bound;
-    call.swap_bound = swap_bound;
-    call.status = status == sat::LBool::kTrue    ? 'S'
-                  : status == sat::LBool::kFalse ? 'U'
-                                                 : '?';
-    call.conflicts = delta.conflicts;
-    call.propagations = delta.propagations;
-    call.decisions = delta.decisions;
-    call.wall_ms = elapsed_ms() - start_ms;
-    if (span.live()) {
-      span.arg("block_bound", block_bound);
-      span.arg("swap_bound", swap_bound);
-      span.arg("result", status == sat::LBool::kTrue    ? "sat"
-                         : status == sat::LBool::kFalse ? "unsat"
-                                                        : "unknown");
-      span.arg("conflicts", delta.conflicts);
-      span.arg("propagations", delta.propagations);
-      span.arg("wall_ms", call.wall_ms);
-    }
-
-    diag.sat_calls++;
-    diag.conflicts += delta.conflicts;
-    diag.calls.push_back(call);
-    if (status == sat::LBool::kUndef) diag.hit_budget = true;
-    if (obs::metrics::enabled()) {
-      namespace m = obs::metrics;
-      static m::Histogram& call_ms = m::Registry::instance().histogram(
-          "layout_solve_call_duration_ms",
-          "Wall time of each incremental SAT call in the optimizer loop",
-          {{"engine", "transition-based"}});
-      static m::Counter& calls = m::Registry::instance().counter(
-          "layout_sat_calls_total",
-          "Incremental SAT calls issued by optimizers",
-          {{"engine", "transition-based"}});
-      call_ms.observe(call.wall_ms);
-      calls.inc();
-    }
-    return status;
-  }
-};
+std::unique_ptr<TbModel> make_tb_model(const Problem& problem, int max_blocks,
+                                       const EncodingConfig& config,
+                                       const OptimizerOptions& options) {
+  auto model = std::make_unique<TbModel>(problem, max_blocks, config);
+  model->solver().set_restart_policy(options.restart_policy);
+  return model;
+}
 
 struct TbBlockPhase {
   std::unique_ptr<TbModel> model;
@@ -367,22 +298,20 @@ struct TbBlockPhase {
 
 // Minimize block count: T_B starts at 1 and increments on UNSAT (§III-D).
 TbBlockPhase tb_block_phase(const Problem& problem,
-                            const EncodingConfig& config, TbSearch& search) {
+                            const EncodingConfig& config,
+                            const OptimizerOptions& options,
+                            const Deadline& deadline, Result& diag) {
   TbBlockPhase out;
   int max_blocks = 4;
-  auto model = std::make_unique<TbModel>(problem, max_blocks, config);
-  model->solver().set_restart_policy(search.restart_policy);
-  model->solver().set_external_interrupt(search.cancel);
-  int blocks = 1;
-  while (!search.expired()) {
+  auto model = make_tb_model(problem, max_blocks, config, options);
+  for (int blocks = 1; !deadline.expired(); ++blocks) {
     if (blocks > max_blocks) {
       max_blocks = std::max(blocks, max_blocks * 2);
-      model = std::make_unique<TbModel>(problem, max_blocks, config);
-      model->solver().set_restart_policy(search.restart_policy);
-      model->solver().set_external_interrupt(search.cancel);
+      model = make_tb_model(problem, max_blocks, config, options);
     }
     const sat::LBool status =
-        search.solve(*model, {model->block_bound(blocks)}, blocks, -1);
+        solve_call(SearchEngine::kTransitionBased, model->solver(),
+                   {model->block_bound(blocks)}, blocks, -1, deadline, diag);
     if (status == sat::LBool::kUndef) return out;
     if (status == sat::LBool::kTrue) {
       out.best = model->extract();
@@ -390,7 +319,6 @@ TbBlockPhase tb_block_phase(const Problem& problem,
       out.model = std::move(model);
       return out;
     }
-    blocks++;
   }
   return out;
 }
@@ -401,17 +329,11 @@ Result tb_synthesize_block_optimal(const Problem& problem,
                                    const EncodingConfig& config,
                                    const OptimizerOptions& options) {
   obs::Span span("tb.block_optimal");
-  TbSearch search;
-  search.budget_ms = options.time_budget_ms;
-  search.restart_policy = options.restart_policy;
-  search.cancel = options.cancel;
-  TbBlockPhase phase = tb_block_phase(problem, config, search);
-  Result result = phase.best;
-  result.sat_calls = search.diag.sat_calls;
-  result.conflicts = search.diag.conflicts;
-  result.hit_budget = search.diag.hit_budget || search.expired();
-  result.wall_ms = search.elapsed_ms();
-  result.calls = std::move(search.diag.calls);
+  const Deadline deadline(options.time_budget_ms, options.cancel);
+  Result diag;
+  Result result =
+      tb_block_phase(problem, config, options, deadline, diag).best;
+  finish(result, diag, deadline);
   return result;
 }
 
@@ -419,90 +341,47 @@ Result tb_synthesize_swap_optimal(const Problem& problem,
                                   const EncodingConfig& config,
                                   const OptimizerOptions& options) {
   obs::Span span("tb.swap_optimal");
-  TbSearch search;
-  search.budget_ms = options.time_budget_ms;
-  search.restart_policy = options.restart_policy;
-  search.cancel = options.cancel;
-  TbBlockPhase phase = tb_block_phase(problem, config, search);
+  const Deadline deadline(options.time_budget_ms, options.cancel);
+  Result diag;
+  TbBlockPhase phase = tb_block_phase(problem, config, options, deadline, diag);
   if (!phase.best.solved) {
-    Result result = phase.best;
-    result.sat_calls = search.diag.sat_calls;
-    result.conflicts = search.diag.conflicts;
-    result.hit_budget = search.diag.hit_budget || search.expired();
-    result.wall_ms = search.elapsed_ms();
-    result.calls = std::move(search.diag.calls);
-    return result;
+    finish(phase.best, diag, deadline);
+    return phase.best;
   }
 
-  TbModel* model = phase.model.get();
-  std::unique_ptr<TbModel> rebuilt;
-  Result best = phase.best;
-  std::vector<std::pair<int, int>> pareto;
-  int blocks = phase.blocks;
-  int prev_round_swaps = -1;
-
-  while (true) {
-    // Iterative descent at this block count.
-    obs::Span sweep_span("tb.swap_sweep");
-    sweep_span.arg("block_bound", blocks);
-    int incumbent = best.swap_count;
-    while (incumbent > 0) {
-      if (search.expired()) break;
-      const sat::LBool status = search.solve(
-          *model, {model->block_bound(blocks), model->swap_bound(incumbent - 1)},
-          blocks, incumbent - 1);
-      if (status != sat::LBool::kTrue) break;
-      Result candidate = model->extract();
-      if (candidate.swap_count < best.swap_count ||
-          (candidate.swap_count == best.swap_count &&
-           candidate.depth < best.depth)) {
-        best = candidate;
-      }
-      incumbent = std::min(incumbent - 1, candidate.swap_count);
-    }
-    pareto.emplace_back(blocks, best.swap_count);
-
-    if (best.swap_count == 0 || search.expired() || search.diag.hit_budget) {
-      break;
-    }
-    if (prev_round_swaps >= 0 && best.swap_count >= prev_round_swaps) break;
-    prev_round_swaps = best.swap_count;
-
-    blocks++;
+  // Relaxing past the model's capacity regenerates it with exactly the
+  // blocks asked for. TB reads neither the SWAP hint nor the fact hub:
+  // block bounds are not depth bounds, so the shared facts do not apply.
+  std::unique_ptr<TbModel> model = std::move(phase.model);
+  const ModelAt model_at = [&](int blocks) -> SweepModel& {
     if (blocks > model->max_blocks()) {
-      rebuilt = std::make_unique<TbModel>(problem, blocks, config);
-      rebuilt->solver().set_restart_policy(search.restart_policy);
-      rebuilt->solver().set_external_interrupt(search.cancel);
-      model = rebuilt.get();
+      model = make_tb_model(problem, blocks, config, options);
     }
-  }
-
-  best.pareto = std::move(pareto);
-  best.sat_calls = search.diag.sat_calls;
-  best.conflicts = search.diag.conflicts;
-  best.hit_budget = search.diag.hit_budget;
-  best.wall_ms = search.elapsed_ms();
-  best.calls = std::move(search.diag.calls);
+    return *model;
+  };
+  Result best = sweep_swaps(SearchEngine::kTransitionBased, *model, model_at,
+                            phase.best, phase.blocks,
+                            /*swap_upper_hint=*/-1, FactHub{}, deadline, diag);
+  finish(best, diag, deadline);
   return best;
 }
 
 Result tb_solve_fixed(const Problem& problem, int blocks, int swap_bound,
-                      const EncodingConfig& config, double time_budget_ms) {
-  TbSearch search;
-  search.budget_ms = time_budget_ms;
-  TbModel model(problem, blocks, config);
-  if (swap_bound >= 0) {
-    model.assert_swap_bound_hard(swap_bound, config.cardinality);
-  }
-  const sat::LBool status =
-      search.solve(model, {}, /*block_bound=*/-1, swap_bound);
+                      const EncodingConfig& config, const Deadline& deadline) {
+  Result diag;
   Result result;
-  if (status == sat::LBool::kTrue) result = model.extract();
-  result.sat_calls = search.diag.sat_calls;
-  result.conflicts = search.diag.conflicts;
-  result.hit_budget = search.diag.hit_budget;
-  result.wall_ms = search.elapsed_ms();
-  result.calls = std::move(search.diag.calls);
+  if (!deadline.expired()) {
+    TbModel model(problem, blocks, config);
+    if (swap_bound >= 0) {
+      model.assert_swap_bound_hard(swap_bound, config.cardinality);
+    }
+    if (solve_call(SearchEngine::kTransitionBased, model.solver(), {},
+                   /*bound=*/-1, swap_bound, deadline,
+                   diag) == sat::LBool::kTrue) {
+      result = model.extract();
+    }
+  }
+  finish(result, diag, deadline);
   return result;
 }
 

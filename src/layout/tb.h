@@ -16,16 +16,17 @@
 
 #include "circuit/dependency.h"
 #include "encode/totalizer.h"
+#include "layout/search.h"
 #include "layout/types.h"
 
 namespace olsq2::layout {
 
-class TbModel {
+class TbModel : public SweepModel {
  public:
   /// Build the block-resolved constraint system with `max_blocks` blocks.
   TbModel(const Problem& problem, int max_blocks, const EncodingConfig& config);
 
-  sat::Solver& solver() { return solver_; }
+  sat::Solver& solver() override { return solver_; }
   int max_blocks() const { return max_blocks_; }
 
   /// Pin the block-0 mapping (windowed synthesis: continue from the
@@ -34,15 +35,16 @@ class TbModel {
 
   /// Assumption literal enforcing all gates inside the first `blocks` blocks.
   Lit block_bound(int blocks);
+  Lit horizon_bound(int blocks) override { return block_bound(blocks); }
 
   /// Assumption literal enforcing total SWAP count <= s_b (totalizer).
-  Lit swap_bound(int s_b);
+  Lit swap_bound(int s_b) override;
 
   /// Hard-assert the SWAP bound (one-shot encodings for Table II).
   void assert_swap_bound_hard(int s_b, CardEncoding encoding);
 
   /// Decode the current model (after SAT). `depth` holds the block count.
-  Result extract() const;
+  Result extract() const override;
 
  private:
   void build_variables();
@@ -85,9 +87,11 @@ Result tb_synthesize_block_optimal(const Problem& problem,
                                    const OptimizerOptions& options = {});
 
 /// One-shot TB solve with fixed block count and optional hard SWAP bound
-/// (Table II's TB configurations).
+/// (Table II's TB configurations, the subarch ladder's probes). The solve
+/// gets `deadline`'s remaining budget and cancel token; an already expired
+/// deadline returns hit_budget without encoding or solving.
 Result tb_solve_fixed(const Problem& problem, int blocks, int swap_bound,
                       const EncodingConfig& config = {},
-                      double time_budget_ms = 0.0);
+                      const Deadline& deadline = Deadline());
 
 }  // namespace olsq2::layout

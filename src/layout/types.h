@@ -113,21 +113,12 @@ struct OptimizerOptions {
   /// Reuse one solver across bound iterations (incremental solving). The
   /// ablation bench turns this off to measure its contribution.
   bool incremental = true;
-  /// Extra depth steps to explore in the 2-D Pareto sweep after the swap
-  /// count stops improving (0 = stop at first non-improvement, the paper's
-  /// termination rule).
-  int pareto_patience = 0;
   /// Restart strategy for the underlying CDCL solver.
   sat::Solver::RestartPolicy restart_policy =
       sat::Solver::RestartPolicy::kGlucose;
   /// Optional externally-owned cancellation flag (portfolio solving). When
   /// it turns true, the optimizer unwinds as if its budget expired.
   const std::atomic<bool>* cancel = nullptr;
-  /// Concurrent speculative bound probes inside the optimizer loops (1 =
-  /// the classic sequential relax-then-decrement chain). Each probe owns a
-  /// cloned model; SAT/UNSAT monotonicity (§III-B) reconciles the results
-  /// of every round, so the optimum is identical to the sequential path.
-  int parallel_probes = 1;
   /// Externally-supplied upper bound on the SWAP optimum (-1 = none), e.g.
   /// the planning engine's anytime incumbent. The SWAP descent "jump
   /// probes" this bound once per depth sweep before the one-by-one
@@ -145,9 +136,9 @@ struct OptimizerOptions {
   /// skip SAT calls whose answer is already proven, never change optima.
   bool deterministic = false;
   /// Cooperative sharing hub (learnt clauses + objective-bound facts)
-  /// connecting portfolio strategies and speculative probes. Owned by the
-  /// caller; nullptr = no sharing. synthesize_portfolio installs one
-  /// automatically; standalone parallel_probes runs create a private hub.
+  /// connecting the strategies of a portfolio race. Owned by the caller;
+  /// nullptr = no sharing. synthesize_portfolio installs one
+  /// automatically.
   sat::ClauseExchange* exchange = nullptr;
 };
 

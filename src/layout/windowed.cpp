@@ -1,35 +1,28 @@
 #include "layout/windowed.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 
 #include "circuit/dependency.h"
+#include "layout/search.h"
 #include "layout/tb.h"
 #include "obs/obs.h"
 
 namespace olsq2::layout {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-}  // namespace
-
 WindowedResult synthesize_windowed_swap(const Problem& problem,
                                         const WindowedOptions& options,
                                         const EncodingConfig& config) {
   obs::Span top_span("windowed.swap");
-  const Clock::time_point start = Clock::now();
-  auto elapsed_ms = [&] {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start)
-        .count();
-  };
-  auto expired = [&] {
-    return options.time_budget_ms > 0 && elapsed_ms() >= options.time_budget_ms;
-  };
+  const Deadline deadline(options.time_budget_ms);
 
   WindowedResult result;
+  // Budget exhaustion returns what is finished so far.
+  const auto out_of_budget = [&] {
+    result.hit_budget = true;
+    result.wall_ms = deadline.elapsed_ms();
+    return result;
+  };
   const circuit::Circuit& circ = *problem.circuit;
   const circuit::DependencyGraph deps(circ);
 
@@ -69,11 +62,7 @@ WindowedResult synthesize_windowed_swap(const Problem& problem,
     obs::Span window_span("windowed.window");
     window_span.arg("index", window_index++);
     window_span.arg("gates", window.num_gates());
-    if (expired()) {
-      result.hit_budget = true;
-      result.wall_ms = elapsed_ms();
-      return result;
-    }
+    if (deadline.expired()) return out_of_budget();
     const Problem sub{&window, problem.device, problem.swap_duration};
 
     // Block phase: smallest satisfiable block count with the pinned entry.
@@ -82,21 +71,13 @@ WindowedResult synthesize_windowed_swap(const Problem& problem,
     int blocks = 1;
     Result best;
     while (true) {
-      if (expired()) {
-        result.hit_budget = true;
-        result.wall_ms = elapsed_ms();
-        return result;
-      }
+      if (deadline.expired()) return out_of_budget();
       if (model == nullptr || blocks > model_blocks) {
         model_blocks = std::max(blocks, std::max(4, 2 * model_blocks));
         model = std::make_unique<TbModel>(sub, model_blocks, config);
         if (!mapping.empty()) model->pin_initial_mapping(mapping);
       }
-      if (options.time_budget_ms > 0) {
-        model->solver().set_time_budget(std::chrono::milliseconds(
-            static_cast<std::int64_t>(
-                std::max(1.0, options.time_budget_ms - elapsed_ms()))));
-      }
+      deadline.arm(model->solver());
       sat::LBool status;
       {
         obs::Span span("windowed.solve");
@@ -107,11 +88,7 @@ WindowedResult synthesize_windowed_swap(const Problem& problem,
                            : status == sat::LBool::kFalse ? "unsat"
                                                           : "unknown");
       }
-      if (status == sat::LBool::kUndef) {
-        result.hit_budget = true;
-        result.wall_ms = elapsed_ms();
-        return result;
-      }
+      if (status == sat::LBool::kUndef) return out_of_budget();
       if (status == sat::LBool::kTrue) {
         best = model->extract();
         break;
@@ -121,7 +98,7 @@ WindowedResult synthesize_windowed_swap(const Problem& problem,
 
     // Swap descent at this block count.
     int incumbent = best.swap_count;
-    while (incumbent > 0 && !expired()) {
+    while (incumbent > 0 && !deadline.expired()) {
       obs::Span span("windowed.solve");
       span.arg("block_bound", blocks);
       span.arg("swap_bound", incumbent - 1);
@@ -141,7 +118,7 @@ WindowedResult synthesize_windowed_swap(const Problem& problem,
 
   result.final_mapping = mapping;
   result.solved = true;
-  result.wall_ms = elapsed_ms();
+  result.wall_ms = deadline.elapsed_ms();
   return result;
 }
 

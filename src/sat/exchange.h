@@ -80,9 +80,9 @@ class ClauseExchange {
   /// corrupt its reported optimum. When `key` differs from the current
   /// problem key every bound fact is dropped and the clause backlog is
   /// cut off; same-key calls are no-ops so repeated registration is cheap.
-  /// Single-problem users (the portfolio, standalone probes) never need to
-  /// call this - a fresh hub starts with an empty key that any first
-  /// problem extends.
+  /// Single-problem users (the portfolio, a standalone optimizer run) never
+  /// need to call this - a fresh hub starts with an empty key that any
+  /// first problem extends.
   void begin_problem(const std::string& key);
 
   /// Offer a learnt clause to the hub. Units and binaries always pass;

@@ -1,12 +1,12 @@
 #include "satmap/satmap.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 
 #include "circuit/dependency.h"
 #include "encode/totalizer.h"
 #include "layout/fdvar.h"
+#include "layout/search.h"
 
 namespace olsq2::satmap {
 
@@ -16,8 +16,6 @@ using layout::FdVar;
 using layout::VarEncoding;
 using sat::LBool;
 using sat::Lit;
-
-using Clock = std::chrono::steady_clock;
 
 // SAT model for one slice: mappings m[0..R] with m[0] optionally pinned,
 // <= R disjoint SWAP layers between them, and adjacency for the slice's
@@ -146,16 +144,15 @@ class SliceModel {
 }  // namespace
 
 SatmapResult route(const layout::Problem& problem, const SatmapOptions& options) {
-  const Clock::time_point start = Clock::now();
-  auto elapsed_ms = [&] {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start)
-        .count();
-  };
-  auto expired = [&] {
-    return options.time_budget_ms > 0 && elapsed_ms() >= options.time_budget_ms;
-  };
+  const layout::Deadline deadline(options.time_budget_ms);
 
   SatmapResult result;
+  // Budget exhaustion returns what is finished so far.
+  const auto out_of_budget = [&] {
+    result.hit_budget = true;
+    result.wall_ms = deadline.elapsed_ms();
+    return result;
+  };
   const circuit::Circuit& circ = *problem.circuit;
   const circuit::DependencyGraph deps(circ);
 
@@ -181,38 +178,22 @@ SatmapResult route(const layout::Problem& problem, const SatmapOptions& options)
   std::vector<int> mapping;  // exit mapping of the previous slice
   bool have_mapping = false;
   for (const auto& slice : slices) {
-    if (expired()) {
-      result.hit_budget = true;
-      result.wall_ms = elapsed_ms();
-      return result;
-    }
+    if (deadline.expired()) return out_of_budget();
     // Grow the number of transition layers until the slice is satisfiable.
     bool slice_done = false;
     for (int r = have_mapping ? 0 : 0; r <= options.max_transition_layers; ++r) {
       SliceModel model(problem, r, have_mapping ? &mapping : nullptr, slice);
-      if (options.time_budget_ms > 0) {
-        model.solver().set_time_budget(std::chrono::milliseconds(
-            static_cast<std::int64_t>(
-                std::max(1.0, options.time_budget_ms - elapsed_ms()))));
-      }
+      deadline.arm(model.solver());
       const LBool status = model.solver().solve();
-      if (status == LBool::kUndef) {
-        result.hit_budget = true;
-        result.wall_ms = elapsed_ms();
-        return result;
-      }
+      if (status == LBool::kUndef) return out_of_budget();
       if (status != LBool::kTrue) continue;
 
       // Minimize SWAPs used for this slice by totalizer descent.
       int best = model.count_swaps();
       std::vector<int> best_mapping = model.exit_mapping();
-      while (best > 0 && !expired()) {
+      while (best > 0 && !deadline.expired()) {
         const std::vector<Lit> assume = {model.swap_bound(best - 1)};
-        if (options.time_budget_ms > 0) {
-          model.solver().set_time_budget(std::chrono::milliseconds(
-              static_cast<std::int64_t>(
-                  std::max(1.0, options.time_budget_ms - elapsed_ms()))));
-        }
+        deadline.arm(model.solver());
         const LBool tightened = model.solver().solve(assume);
         if (tightened != LBool::kTrue) break;
         best = model.count_swaps();
@@ -227,12 +208,12 @@ SatmapResult route(const layout::Problem& problem, const SatmapOptions& options)
     }
     if (!slice_done) {
       // Could not connect the slices within the layer cap.
-      result.wall_ms = elapsed_ms();
+      result.wall_ms = deadline.elapsed_ms();
       return result;
     }
   }
   result.solved = true;
-  result.wall_ms = elapsed_ms();
+  result.wall_ms = deadline.elapsed_ms();
   return result;
 }
 

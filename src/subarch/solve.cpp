@@ -1,7 +1,6 @@
 #include "subarch/solve.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "device/distance.h"
@@ -23,30 +22,6 @@ void count(const char* name, const char* help) {
   if (!m::enabled()) return;
   m::Registry::instance().counter(name, help).inc();
 }
-
-bool cancelled(const layout::OptimizerOptions& options) {
-  return options.cancel != nullptr &&
-         options.cancel->load(std::memory_order_relaxed);
-}
-
-struct Deadline {
-  std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
-  double budget_ms = 0.0;  // <= 0: unlimited
-
-  double elapsed_ms() const {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  }
-  /// Remaining budget; 0 = unlimited, negative = expired.
-  double remaining_ms() const {
-    if (budget_ms <= 0) return 0.0;
-    const double left = budget_ms - elapsed_ms();
-    return left <= 0 ? -1.0 : left;
-  }
-  bool expired() const { return budget_ms > 0 && remaining_ms() < 0; }
-};
 
 struct LadderResult {
   bool ok = false;
@@ -88,8 +63,9 @@ LadderResult run_ladder(const layout::Problem& problem,
       subopts.library != nullptr ? *subopts.library : Library::process_wide();
   const serve::CircuitCanon ccanon = serve::canonicalize_circuit(circ);
   const circuit::Circuit canon_circ = serve::apply_circuit_canon(circ, ccanon);
-  Deadline deadline;
-  deadline.budget_ms = options.time_budget_ms;
+  // One deadline for the whole ladder: every probe runs under its remaining
+  // budget and its cancel token.
+  const layout::Deadline deadline(options.time_budget_ms, options.cancel);
 
   for (int k = 0; k <= subopts.max_extra_qubits; ++k) {
     out.rounds = k + 1;
@@ -124,7 +100,7 @@ LadderResult run_ladder(const layout::Problem& problem,
     out.classes_total += static_cast<std::int64_t>(cover.classes.size());
 
     for (const CoverClass& cls : cover.classes) {
-      if (cancelled(options)) return bail("cancelled");
+      if (deadline.cancelled()) return bail("cancelled");
       if (deadline.expired()) return bail("budget");
       const std::string key =
           probe_key(cls.canon.key, ccanon.key, problem.swap_duration, k);
@@ -140,7 +116,7 @@ LadderResult run_ladder(const layout::Problem& problem,
         // k+1 blocks suffice for any <=k-SWAP TB solution: transitions
         // without SWAPs merge, leaving at most one block per SWAP plus one.
         layout::Result r =
-            layout::tb_solve_fixed(sub, k + 1, k, config, deadline.remaining_ms());
+            layout::tb_solve_fixed(sub, k + 1, k, config, deadline);
         ++out.probes;
         count("subarch_probes_total", "Ladder feasibility SAT probes solved");
         if (r.hit_budget) return bail("probe budget");

@@ -260,21 +260,5 @@ TEST(PlanHint, SwapDescentIsSoundForAnyHintValue) {
   }
 }
 
-TEST(PlanHint, ParallelDescentAbsorbsTheHint) {
-  circuit::Circuit circ = bengen::qft(4);
-  const device::Device dev = device::grid(1, 4);
-  const layout::Problem problem{&circ, &dev, 1};
-  const layout::Result reference = layout::synthesize_swap_optimal(problem);
-  ASSERT_TRUE(reference.solved);
-
-  layout::OptimizerOptions options;
-  options.parallel_probes = 2;
-  options.swap_upper_hint = reference.swap_count;
-  const layout::Result hinted =
-      layout::synthesize_swap_optimal(problem, {}, options);
-  ASSERT_TRUE(hinted.solved);
-  EXPECT_EQ(hinted.swap_count, reference.swap_count);
-}
-
 }  // namespace
 }  // namespace olsq2::plan

@@ -149,50 +149,5 @@ TEST(Portfolio, DeterministicModeReproducesOptima) {
   }
 }
 
-// Speculative parallel bound search must return the sequential optimum
-// (monotone reconciliation of concurrent probes).
-TEST(ParallelProbes, DepthMatchesSequential) {
-  const auto c = bengen::qaoa_3regular(6, 4);
-  const auto dev = device::grid(2, 3);
-  const Problem problem{&c, &dev, 1};
-  const Result sequential = synthesize_depth_optimal(problem);
-  ASSERT_TRUE(sequential.solved);
-  OptimizerOptions options;
-  options.parallel_probes = 3;
-  const Result parallel = synthesize_depth_optimal(problem, {}, options);
-  ASSERT_TRUE(parallel.solved);
-  EXPECT_EQ(parallel.depth, sequential.depth);
-  EXPECT_TRUE(verify(problem, parallel).ok);
-}
-
-TEST(ParallelProbes, SwapMatchesSequential) {
-  const auto c = bengen::qaoa_3regular(6, 2);
-  const auto dev = device::grid(2, 3);
-  const Problem problem{&c, &dev, 1};
-  const Result sequential = synthesize_swap_optimal(problem);
-  ASSERT_TRUE(sequential.solved);
-  OptimizerOptions options;
-  options.parallel_probes = 2;
-  const Result parallel = synthesize_swap_optimal(problem, {}, options);
-  ASSERT_TRUE(parallel.solved);
-  EXPECT_EQ(parallel.swap_count, sequential.swap_count);
-  EXPECT_TRUE(verify(problem, parallel).ok);
-}
-
-TEST(ParallelProbes, RecordsPrunedAndProbeCalls) {
-  const auto c = bengen::qaoa_3regular(6, 4);
-  const auto dev = device::grid(2, 3);
-  const Problem problem{&c, &dev, 1};
-  OptimizerOptions options;
-  options.parallel_probes = 3;
-  const Result r = synthesize_depth_optimal(problem, {}, options);
-  ASSERT_TRUE(r.solved);
-  EXPECT_FALSE(r.calls.empty());
-  for (const SolveCall& call : r.calls) {
-    EXPECT_TRUE(call.status == 'S' || call.status == 'U' ||
-                call.status == 'P' || call.status == '?');
-  }
-}
-
 }  // namespace
 }  // namespace olsq2::layout
