@@ -2,12 +2,10 @@
 // substrate that replaces Z3's SAT core in this reproduction. Useful for
 // cross-checking exported layout-synthesis instances with other solvers.
 //
-//   $ ./sat_solve <file.cnf> [--proof] [--preprocess] [--budget-ms N]
+//   $ ./sat_solve <file.cnf> [--proof] [--budget-ms N]
 //
 // Prints "s SATISFIABLE" + a "v" model line, or "s UNSATISFIABLE" (with a
 // self-checked DRAT refutation when --proof is given), or "s UNKNOWN".
-// --preprocess applies SatELite-style simplification first (models are
-// reconstructed; incompatible with --proof).
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -17,7 +15,6 @@
 
 #include "sat/dimacs.h"
 #include "sat/drat_check.h"
-#include "sat/preprocess.h"
 #include "sat/proof.h"
 #include "sat/solver.h"
 
@@ -28,23 +25,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   bool want_proof = false;
-  bool want_preprocess = false;
   double budget_ms = 0;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--proof") == 0) {
       want_proof = true;
-    } else if (std::strcmp(argv[i], "--preprocess") == 0) {
-      want_preprocess = true;
     } else if (std::strcmp(argv[i], "--budget-ms") == 0 && i + 1 < argc) {
       budget_ms = std::atof(argv[++i]);
     } else {
       std::cerr << "unknown flag: " << argv[i] << "\n";
       return 2;
     }
-  }
-  if (want_proof && want_preprocess) {
-    std::cerr << "--proof and --preprocess are mutually exclusive\n";
-    return 2;
   }
 
   std::ifstream in(argv[1]);
@@ -56,18 +46,7 @@ int main(int argc, char** argv) {
   buffer << in.rdbuf();
 
   try {
-    DimacsProblem problem = parse_dimacs(buffer.str());
-    Preprocessor pre;
-    if (want_preprocess) {
-      if (!pre.run(problem.num_vars, problem.clauses)) {
-        std::cout << "s UNSATISFIABLE\n";
-        return 20;
-      }
-      std::cerr << "c preprocess: " << problem.clauses.size() << " -> "
-                << pre.clauses().size() << " clauses, "
-                << pre.stats().eliminated_vars << " vars eliminated\n";
-      problem.clauses = pre.clauses();
-    }
+    const DimacsProblem problem = parse_dimacs(buffer.str());
     Solver solver;
     Proof proof;
     if (want_proof) {
@@ -92,7 +71,6 @@ int main(int argc, char** argv) {
     if (status == LBool::kTrue) {
       std::vector<LBool> model(problem.num_vars);
       for (int v = 0; v < problem.num_vars; ++v) model[v] = solver.model_value(v);
-      if (want_preprocess) pre.extend_model(model);
       std::cout << "s SATISFIABLE\nv ";
       for (int v = 0; v < problem.num_vars; ++v) {
         std::cout << (model[v] == LBool::kTrue ? v + 1 : -(v + 1)) << " ";

@@ -167,7 +167,6 @@ Result synthesize_swap_optimal(const Problem& problem,
   };
   Result best = sweep_swaps(SearchEngine::kTimeResolved, *model, model_at,
                             outcome.best, outcome.best.depth,
-                            options.swap_upper_hint,
                             FactHub{options.exchange}, deadline, diag);
   finish(best, diag, deadline);
   return best;

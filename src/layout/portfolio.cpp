@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "layout/olsq2.h"
-#include "layout/tb.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "util/sync.h"
@@ -53,28 +52,6 @@ PortfolioResult synthesize_portfolio(const Problem& problem,
   obs::Span span("portfolio.run");
   span.arg("entries", static_cast<std::uint64_t>(entries.size()));
 
-  // Quick serial pre-pass: let upper-bounders (the planning engine's
-  // anytime incumbent) seed the SAT entries' SWAP-descent jump probe. A
-  // wrong bound costs one SAT call and can never change an optimum, so no
-  // correctness coupling is introduced between the strategies.
-  if (objective == Objective::kSwap) {
-    int hint = -1;
-    for (const PortfolioEntry& e : entries) {
-      if (!e.upper_bound) continue;
-      const int h = e.upper_bound(problem);
-      if (h >= 0 && (hint < 0 || h < hint)) hint = h;
-    }
-    if (hint >= 0) {
-      span.arg("swap_upper_hint", hint);
-      for (PortfolioEntry& e : entries) {
-        if (e.solve) continue;  // only SAT descents consume the hint
-        if (e.options.swap_upper_hint < 0 || hint < e.options.swap_upper_hint) {
-          e.options.swap_upper_hint = hint;
-        }
-      }
-    }
-  }
-
   // One hub for the whole race: same-encoding strategies trade learnt
   // clauses, and every strategy shares proven objective-bound facts.
   sat::ClauseExchange exchange;
@@ -101,8 +78,7 @@ PortfolioResult synthesize_portfolio(const Problem& problem,
     obs::Trace::instance().set_thread_name("portfolio:" + entry.name);
     obs::Span worker_span("portfolio.worker");
     worker_span.arg("strategy", entry.name);
-    Result r = entry.solve ? entry.solve(problem, entry.options)
-               : objective == Objective::kDepth
+    Result r = objective == Objective::kDepth
                    ? synthesize_depth_optimal(problem, entry.config,
                                               entry.options)
                    : synthesize_swap_optimal(problem, entry.config,

@@ -160,8 +160,8 @@ void record_pruned(Result& diag, int bound, int swap_bound,
 
 Result sweep_swaps(SearchEngine engine, SweepModel& model,
                    const ModelAt& model_at, Result best, int bound,
-                   int swap_upper_hint, const FactHub& facts,
-                   const Deadline& deadline, Result& diag) {
+                   const FactHub& facts, const Deadline& deadline,
+                   Result& diag) {
   SweepModel* current = &model;
   std::vector<std::pair<int, int>> pareto;
   int prev_bound_swaps = -1;
@@ -172,21 +172,13 @@ Result sweep_swaps(SearchEngine engine, SweepModel& model,
     obs::Span sweep_span(names(engine).sweep_span);
     sweep_span.arg(names(engine).bound_key, bound);
     int incumbent = best.swap_count;
-    // One jump probe per horizon at the externally-supplied upper bound
-    // (e.g. the planning engine's incumbent): SAT teleports the descent,
-    // UNSAT is a true (horizon, hint) fact and the classic decrement
-    // resumes - sound for arbitrary hint values.
-    bool try_hint = swap_upper_hint >= 0;
     while (incumbent > 0) {
       if (deadline.expired()) break;
-      const bool jump = try_hint && swap_upper_hint < incumbent - 1;
-      const int target = jump ? swap_upper_hint : incumbent - 1;
-      try_hint = false;
+      const int target = incumbent - 1;
       if (facts.swap_known_unsat(bound, target)) {
         // A peer proved (horizon <= bound, swaps <= target) empty; our
         // query is a subset of that region.
         record_pruned(diag, bound, target, facts);
-        if (jump) continue;  // hint region empty here; classic descent
         break;
       }
       const std::vector<Lit> assumptions = {current->horizon_bound(bound),
@@ -194,10 +186,7 @@ Result sweep_swaps(SearchEngine engine, SweepModel& model,
       const sat::LBool status = solve_call(engine, current->solver(),
                                            assumptions, bound, target,
                                            deadline, diag);
-      if (status == sat::LBool::kFalse) {
-        facts.note_swap_unsat(bound, target);
-        if (jump) continue;  // failed jump: resume the one-by-one descent
-      }
+      if (status == sat::LBool::kFalse) facts.note_swap_unsat(bound, target);
       if (status != sat::LBool::kTrue) break;
       Result candidate = current->extract();
       if (candidate.swap_count < best.swap_count ||

@@ -89,14 +89,13 @@ using ModelAt = std::function<SweepModel&(int bound)>;
 /// The 2-D Pareto sweep (paper §III-B2). At each horizon, starting from
 /// `bound` on `model` with incumbent `best`, tighten the SWAP bound one
 /// below the incumbent until UNSAT; then relax the horizon by one (through
-/// `model_at`) while the SWAP count keeps improving. A non-negative
-/// `swap_upper_hint` is jump-probed once per horizon before the decrement
-/// (OptimizerOptions::swap_upper_hint). Facts in `facts` prune calls and
-/// receive every UNSAT. Returns the best solution, with `pareto` set.
+/// `model_at`) while the SWAP count keeps improving. Facts in `facts`
+/// prune calls and receive every UNSAT. Returns the best solution, with
+/// `pareto` set.
 Result sweep_swaps(SearchEngine engine, SweepModel& model,
                    const ModelAt& model_at, Result best, int bound,
-                   int swap_upper_hint, const FactHub& facts,
-                   const Deadline& deadline, Result& diag);
+                   const FactHub& facts, const Deadline& deadline,
+                   Result& diag);
 
 /// Move the search diagnostics in `diag` into `result`. The result reports
 /// hit_budget when any call ran out of budget or the deadline has passed,

@@ -203,13 +203,6 @@ void TbModel::build_transitions() {
   }
 }
 
-void TbModel::pin_initial_mapping(const std::vector<int>& mapping) {
-  assert(static_cast<int>(mapping.size()) == circ_.num_qubits());
-  for (int q = 0; q < circ_.num_qubits(); ++q) {
-    solver_.add_clause({pi_[q][0].eq(builder_, mapping[q])});
-  }
-}
-
 Lit TbModel::block_bound(int blocks) {
   assert(blocks >= 1);
   if (blocks >= max_blocks_) return builder_.true_lit();
@@ -350,8 +343,8 @@ Result tb_synthesize_swap_optimal(const Problem& problem,
   }
 
   // Relaxing past the model's capacity regenerates it with exactly the
-  // blocks asked for. TB reads neither the SWAP hint nor the fact hub:
-  // block bounds are not depth bounds, so the shared facts do not apply.
+  // blocks asked for. TB does not read the fact hub: block bounds are not
+  // depth bounds, so the shared facts do not apply.
   std::unique_ptr<TbModel> model = std::move(phase.model);
   const ModelAt model_at = [&](int blocks) -> SweepModel& {
     if (blocks > model->max_blocks()) {
@@ -360,8 +353,8 @@ Result tb_synthesize_swap_optimal(const Problem& problem,
     return *model;
   };
   Result best = sweep_swaps(SearchEngine::kTransitionBased, *model, model_at,
-                            phase.best, phase.blocks,
-                            /*swap_upper_hint=*/-1, FactHub{}, deadline, diag);
+                            phase.best, phase.blocks, FactHub{}, deadline,
+                            diag);
   finish(best, diag, deadline);
   return best;
 }

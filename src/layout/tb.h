@@ -29,10 +29,6 @@ class TbModel : public SweepModel {
   sat::Solver& solver() override { return solver_; }
   int max_blocks() const { return max_blocks_; }
 
-  /// Pin the block-0 mapping (windowed synthesis: continue from the
-  /// previous window's exit mapping). mapping[q] = physical qubit.
-  void pin_initial_mapping(const std::vector<int>& mapping);
-
   /// Assumption literal enforcing all gates inside the first `blocks` blocks.
   Lit block_bound(int blocks);
   Lit horizon_bound(int blocks) override { return block_bound(blocks); }

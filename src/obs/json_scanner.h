@@ -1,10 +1,11 @@
 // Minimal pull-scanner for the repo's fixed-schema JSON documents (device
-// specs, cache entries, serve manifests). Deliberately not a general JSON
-// library: every consumer knows its schema, documents are machine-written,
-// and keeping the repo dependency-free is a standing constraint. Factored
-// out of fuzz/corpus.cpp once three subsystems needed the same loop.
+// specs, cache entries, serve manifests, traces) and the repo's one JSON
+// reader. Deliberately not a general JSON library: every consumer knows
+// its schema and no DOM is built, which keeps the repo dependency-free. The
+// grammar is RFC 8259's; any violation throws std::runtime_error.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -27,11 +28,12 @@ class JsonScanner {
   /// Next non-space character without consuming (\0 at end of input).
   char peek();
 
-  /// Quoted string; handles the escapes json_escape() emits.
+  /// Quoted string. Decodes every RFC 8259 escape, \uXXXX to UTF-8;
+  /// rejects raw control characters and any other escape.
   std::string string_value();
   /// Integer in [-10^9, 10^9].
   int int_value();
-  /// Number as double (integer, fraction, exponent).
+  /// Number as double, in RFC 8259 number syntax.
   double double_value();
   /// true / false.
   bool bool_value();
@@ -45,6 +47,9 @@ class JsonScanner {
   bool at_end();
 
  private:
+  /// Four hex digits of a \u escape.
+  std::uint32_t hex4();
+
   std::string_view text_;
   std::string context_;
   std::size_t pos_ = 0;

@@ -3,7 +3,7 @@
 // The repo emits JSON in two places (result serialization, trace export)
 // without an external JSON library; this is the matching read side, used by
 // tests and the `trace_validate` tool to prove the emitters' output parses
-// back. It validates structure only - no DOM is built.
+// back. Both checks are walks over obs::JsonScanner - no DOM is built.
 #pragma once
 
 #include <string>
@@ -20,8 +20,8 @@ struct CheckResult {
   int total_events = 0;
 };
 
-/// Parse `text` as a single JSON value (RFC 8259 subset: no surrogate-pair
-/// validation). Trailing whitespace allowed; anything else fails.
+/// Parse `text` as a single JSON value in obs::JsonScanner's RFC 8259
+/// grammar. Trailing whitespace allowed; anything else fails.
 CheckResult check_json(std::string_view text);
 
 /// check_json + Chrome trace schema: the root must be an object with a

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "layout/portfolio.h"
 #include "layout/types.h"
 
 namespace olsq2::plan {
@@ -37,7 +36,7 @@ struct PlanOptions {
   std::int64_t max_roots = 200'000;
   /// Wall-clock budget; <=0 means unlimited.
   double time_budget_ms = 0.0;
-  /// Optional externally-owned cancellation flag (portfolio racing).
+  /// Optional externally-owned cancellation flag.
   const std::atomic<bool>* cancel = nullptr;
   /// Root-sampling seed (only used when max_roots overflows).
   std::uint64_t seed = 17;
@@ -71,13 +70,5 @@ struct PlanResult {
 
 PlanResult synthesize(const layout::Problem& problem,
                       const PlanOptions& options = {});
-
-/// Register the planning engine as a third portfolio strategy next to the
-/// SAT-descent entries (layout/portfolio.h). The entry races a full A*
-/// (certified results cancel the SAT workers; budget-cut results report
-/// hit_budget and cannot) and exposes a quick bounded search as the
-/// upper_bound hook, which synthesize_portfolio feeds into every SAT
-/// entry's SWAP-descent seed (OptimizerOptions::swap_upper_hint).
-layout::PortfolioEntry portfolio_entry(const layout::OptimizerOptions& base = {});
 
 }  // namespace olsq2::plan

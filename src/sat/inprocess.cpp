@@ -11,7 +11,7 @@
 //     assumptions, and cores remain valid verbatim - and every rewritten
 //     clause is RUP through those binaries, keeping DRAT proofs checkable.
 //  2. Subsumption / self-subsuming resolution over occurrence lists with
-//     64-bit signatures (simplify_util.h). Binaries are never targets
+//     64-bit clause signatures. Binaries are never targets
 //     (which also shields the definition binaries); subsumed clauses are
 //     deleted, SSR removes one flipped literal at a time.
 //  3. Vivification: re-derive each clause under assumed negations of its
@@ -26,18 +26,45 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "sat/simplify_util.h"
 #include "sat/solver.h"
 
 namespace olsq2::sat {
 
 namespace {
+
+/// Sort + dedup in place; returns false when the clause is a tautology
+/// (contains l and ~l) and should be dropped.
+bool normalize(Clause& c) {
+  std::sort(c.begin(), c.end());
+  c.erase(std::unique(c.begin(), c.end()), c.end());
+  for (std::size_t i = 1; i < c.size(); ++i) {
+    if (c[i] == ~c[i - 1]) return false;
+  }
+  return true;
+}
+
+/// One bit per variable (mod 64). If sig(a) has a bit outside sig(b), then
+/// a cannot be a subset of b - no false negatives, cheap false positives.
+std::uint64_t clause_signature(std::span<const Lit> lits) {
+  std::uint64_t sig = 0;
+  for (const Lit l : lits) {
+    sig |= std::uint64_t{1} << (static_cast<std::uint32_t>(l.var()) & 63u);
+  }
+  return sig;
+}
+
+/// Necessary condition for "a subsumes (or self-subsumes into) b".
+bool signature_subset(std::uint64_t sig_a, std::uint64_t sig_b) {
+  return (sig_a & ~sig_b) == 0;
+}
 
 // Fault-injection hook for the fuzz harness: when set, vivification drops
 // one literal without justification, exactly once per round. The DRAT
@@ -321,7 +348,7 @@ bool Solver::inprocess_equiv(std::uint64_t& ticks) {
           if (value(mapped) == LBool::kFalse) continue;
           img.push_back(mapped);
         }
-        if (satisfied || !simplify::normalize(img)) {
+        if (satisfied || !normalize(img)) {
           // Satisfied at root or tautological under the equivalence.
           // Originals are kept verbatim - in particular the definition
           // binaries, whose images are tautologies, must survive so models
@@ -422,7 +449,7 @@ bool Solver::inprocess_subsume(std::uint64_t& ticks) {
       const ClauseData& c = arena_[cr];
       if (c.freed()) continue;
       const auto id = static_cast<std::uint32_t>(entries.size());
-      entries.push_back({cr, list, i, simplify::clause_signature(c.literals())});
+      entries.push_back({cr, list, i, clause_signature(c.literals())});
       for (const Lit l : c.literals()) {
         occ[static_cast<std::size_t>(l.code())].push_back(id);
       }
@@ -467,7 +494,7 @@ bool Solver::inprocess_subsume(std::uint64_t& ticks) {
         ticks--;
         if (di == ci) continue;
         Entry& de = entries[di];
-        if (!simplify::signature_subset(csig, de.sig)) continue;
+        if (!signature_subset(csig, de.sig)) continue;
         Lit flip = kUndefLit;
         bool fits = true;
         {
@@ -569,7 +596,7 @@ bool Solver::inprocess_subsume(std::uint64_t& ticks) {
         drop_clause(de.cr);
         (*de.list)[de.slot] = nr;
         de.cr = nr;
-        de.sig = simplify::clause_signature(result);
+        de.sig = clause_signature(result);
         stats_.inprocess_strengthened_lits += old_size - result.size();
         if (result.size() == 2) stats_.binary_clauses++;
       }

@@ -87,10 +87,4 @@ bool interaction_connected(const circuit::Circuit& circuit);
 SubDevice make_subdevice(const device::Device& dev,
                          std::vector<int> vertices);
 
-/// Heuristic m-vertex region for the non-certified compositions
-/// (windowed deep-circuit synthesis): greedy growth from a max-degree
-/// seed, each step adding the frontier vertex that gains the most
-/// induced edges. Deterministic.
-SubDevice greedy_region(const device::Device& dev, int m);
-
 }  // namespace olsq2::subarch

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "device/distance.h"
-#include "layout/olsq2.h"
 #include "layout/tb.h"
 #include "layout/verifier.h"
 #include "obs/metrics.h"
@@ -174,18 +173,6 @@ void fill(SubarchOutcome* outcome, const SubarchOutcome& value) {
   if (outcome != nullptr) *outcome = value;
 }
 
-layout::Result direct_or_empty(const layout::Problem& problem,
-                               const layout::EncodingConfig& config,
-                               const layout::OptimizerOptions& options,
-                               const SubarchOptions& subopts) {
-  if (!subopts.fallback_to_direct) {
-    layout::Result r;
-    r.hit_budget = true;
-    return r;
-  }
-  return layout::tb_synthesize_swap_optimal(problem, config, options);
-}
-
 }  // namespace
 
 bool should_engage(const layout::Problem& problem,
@@ -218,7 +205,7 @@ layout::Result tb_synthesize_swap_optimal(const layout::Problem& problem,
     lad.outcome.fallback_reason = "lift verification failed";
   }
   fill(outcome, lad.outcome);
-  return direct_or_empty(problem, config, options, subopts);
+  return layout::tb_synthesize_swap_optimal(problem, config, options);
 }
 
 plan::PlanResult plan_synthesize(const layout::Problem& problem,
@@ -253,108 +240,7 @@ plan::PlanResult plan_synthesize(const layout::Problem& problem,
           "Pre-pass invocations that degraded to the direct solve");
   }
   fill(outcome, lad.outcome);
-  if (!subopts.fallback_to_direct) {
-    plan::PlanResult r;
-    r.hit_budget = true;
-    r.layout.hit_budget = true;
-    return r;
-  }
   return plan::synthesize(problem, options);
-}
-
-layout::Result synthesize_swap_optimal(const layout::Problem& problem,
-                                       const layout::EncodingConfig& config,
-                                       const layout::OptimizerOptions& options,
-                                       const SubarchOptions& subopts,
-                                       SubarchOutcome* outcome) {
-  LadderResult lad = run_ladder(problem, config, options, subopts);
-  if (lad.ok) {
-    const layout::Problem sub{problem.circuit, &lad.winner.device,
-                              problem.swap_duration};
-    layout::OptimizerOptions sub_options = options;
-    sub_options.swap_upper_hint = lad.sub_result.swap_count;
-    layout::Result solved =
-        layout::synthesize_swap_optimal(sub, config, sub_options);
-    if (solved.solved) {
-      layout::Result lifted = lift_result(solved, lad.winner, *problem.device);
-      if (layout::verify(problem, lifted).ok) {
-        // Sound upper bound: the SWAP count is ladder-certified but the
-        // time-resolved depth choice is not reduction-invariant (§14.5),
-        // so the result must not pretend to be a certified optimum.
-        lifted.hit_budget = true;
-        lad.outcome.certified = false;
-        fill(outcome, lad.outcome);
-        return lifted;
-      }
-    }
-    lad.outcome = SubarchOutcome{};
-    lad.outcome.fallback_reason = "time-resolved sub-solve failed";
-  }
-  fill(outcome, lad.outcome);
-  if (!subopts.fallback_to_direct) {
-    layout::Result r;
-    r.hit_budget = true;
-    return r;
-  }
-  return layout::synthesize_swap_optimal(problem, config, options);
-}
-
-layout::WindowedResult synthesize_windowed_swap(
-    const layout::Problem& problem, const layout::WindowedOptions& options,
-    const layout::EncodingConfig& config, int region_slack,
-    SubarchOutcome* outcome) {
-  SubarchOutcome out;
-  const device::Device& dev = *problem.device;
-  const int qubits = problem.circuit->num_qubits();
-  const int msize = std::min(dev.num_qubits(), qubits + std::max(0, region_slack));
-  if (msize >= dev.num_qubits() || qubits > dev.num_qubits() ||
-      !device::connected(dev)) {
-    out.fallback_reason = "no reduction available";
-    fill(outcome, out);
-    return layout::synthesize_windowed_swap(problem, options, config);
-  }
-  const SubDevice region = greedy_region(dev, msize);
-  const layout::Problem sub{problem.circuit, &region.device,
-                            problem.swap_duration};
-  layout::WindowedResult wr =
-      layout::synthesize_windowed_swap(sub, options, config);
-  if (!wr.solved) {
-    out.fallback_reason = "windowed sub-solve failed";
-    fill(outcome, out);
-    return layout::synthesize_windowed_swap(problem, options, config);
-  }
-  for (std::vector<int>& row : wr.window_mappings) {
-    for (int& p : row) p = region.to_full[p];
-  }
-  for (int& p : wr.final_mapping) p = region.to_full[p];
-  out.used = true;
-  out.certified = false;  // windowed synthesis is heuristic by design
-  out.sub_qubits = region.device.num_qubits();
-  out.to_full = region.to_full;
-  out.reduction_ratio = static_cast<double>(dev.num_qubits()) /
-                        static_cast<double>(std::max(1, out.sub_qubits));
-  fill(outcome, out);
-  return wr;
-}
-
-layout::PortfolioEntry portfolio_entry(const layout::OptimizerOptions& base,
-                                       const SubarchOptions& subopts) {
-  layout::PortfolioEntry entry;
-  entry.options = base;
-  entry.name = "subarch-ladder";
-  entry.solve = [subopts](const layout::Problem& problem,
-                          const layout::OptimizerOptions& options) {
-    SubarchOptions race = subopts;
-    // Racing against full-device SAT entries: a fallback would duplicate
-    // their work, so the entry reports an uncertified miss instead.
-    race.fallback_to_direct = false;
-    SubarchOutcome out;
-    layout::Result result =
-        tb_synthesize_swap_optimal(problem, {}, options, race, &out);
-    if (!out.certified) result.hit_budget = true;
-    return result;
-  };
-  return entry;
 }
 
 }  // namespace olsq2::subarch

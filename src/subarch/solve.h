@@ -18,9 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "layout/portfolio.h"
 #include "layout/types.h"
-#include "layout/windowed.h"
 #include "plan/plan.h"
 #include "subarch/extract.h"
 #include "subarch/library.h"
@@ -40,10 +38,6 @@ struct SubarchOptions {
   ExtractOptions extract;
   /// Probe memoization; nullptr uses the process-wide library.
   Library* library = nullptr;
-  /// On gate failure run the direct engine (the drop-in contract). The
-  /// portfolio entry turns this off: inside a race a fallback would
-  /// duplicate the SAT entries' work, so it reports a miss instead.
-  bool fallback_to_direct = true;
 };
 
 /// Telemetry of one wrapper invocation (also the hook tests and the fuzz
@@ -87,34 +81,6 @@ plan::PlanResult plan_synthesize(const layout::Problem& problem,
                                  const plan::PlanOptions& options = {},
                                  const SubarchOptions& subopts = {},
                                  SubarchOutcome* outcome = nullptr);
-
-/// Time-resolved SWAP-objective engine on the winning subarchitecture.
-/// The SWAP bound is certified by the ladder, but the time-resolved
-/// Pareto sweep's *depth* choice is not device-reduction invariant (a
-/// larger device may reach the same SWAP count at smaller depth), so the
-/// result reports hit_budget=true - a sound upper bound, not a certified
-/// time-resolved optimum (§14.5) - and serve does not auto-route kSwap.
-layout::Result synthesize_swap_optimal(
-    const layout::Problem& problem, const layout::EncodingConfig& config = {},
-    const layout::OptimizerOptions& options = {},
-    const SubarchOptions& subopts = {}, SubarchOutcome* outcome = nullptr);
-
-/// Windowed deep-circuit composition: pick a greedy region of
-/// |Q| + region_slack qubits, run layout::synthesize_windowed_swap on it,
-/// lift every window mapping. Heuristic (windowed synthesis is already
-/// non-optimal); degrades to the full-device windowed pass on failure.
-layout::WindowedResult synthesize_windowed_swap(
-    const layout::Problem& problem,
-    const layout::WindowedOptions& options = {},
-    const layout::EncodingConfig& config = {}, int region_slack = 4,
-    SubarchOutcome* outcome = nullptr);
-
-/// Race the certified ladder as a portfolio strategy (transition-based
-/// results; certified wins may cancel the SAT race, fallback results
-/// report hit_budget=true and cannot - plan::portfolio_entry's contract).
-layout::PortfolioEntry portfolio_entry(
-    const layout::OptimizerOptions& base = {},
-    const SubarchOptions& subopts = {});
 
 /// True when the transparent serve pre-pass should engage for this
 /// problem (enabled, device at/above threshold, more physical than

@@ -276,6 +276,16 @@ TEST(DeviceJson, Grid8x8MatchesPreset) {
   check_json_matches_preset("grid8x8.device.json", grid(8, 8));
 }
 
+TEST(DeviceJson, RoundTripKeepsControlCharactersInTheName) {
+  // json_escape writes these as \u00XX escapes; the reader must decode them.
+  const std::string name = "a\x01" "b\x1f";
+  const Device dev(name, 3, {{0, 1}, {1, 2}});
+  const DeviceSpec again = device_from_json(device_to_json(dev, 2));
+  EXPECT_EQ(again.device.name(), name);
+  EXPECT_EQ(again.device.num_edges(), 2);
+  EXPECT_EQ(again.swap_duration, 2);
+}
+
 // Every preset family, the two committed device JSONs and a device with
 // a repeated coupler (the constructor keeps repeats; the JSON reader
 // rejects them).

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "circuit/circuit.h"
@@ -15,6 +17,7 @@
 #include "layout/olsq2.h"
 #include "layout/tb.h"
 #include "obs/json_escape.h"
+#include "obs/json_scanner.h"
 #include "obs/obs.h"
 #include "obs/trace_check.h"
 #include "sat/solver.h"
@@ -179,6 +182,31 @@ TEST(ObsJson, CheckerAcceptsAndRejects) {
   EXPECT_FALSE(obs::check_json("[1,2").ok);
   EXPECT_FALSE(obs::check_json("{} trailing").ok);
   EXPECT_FALSE(obs::validate_chrome_trace("{\"noTraceEvents\":[]}").ok);
+}
+
+TEST(ObsJson, ScannerRejectsWhatRfc8259Rejects) {
+  // Bad numbers; then a bad escape, a raw tab, a truncated and a non-hex
+  // \u escape.
+  const std::string inputs[] = {
+      "-", "+5", "1.", ".5", "1e",
+      "\"a\\qb\"", "\"a\tb\"", "\"\\u12\"", "\"\\u12g4\""};
+  for (const std::string& text : inputs) {
+    obs::JsonScanner in(text, "test");
+    EXPECT_THROW(in.skip_value(), std::runtime_error) << text;
+    EXPECT_FALSE(obs::check_json(text).ok) << text;
+  }
+}
+
+TEST(ObsJson, ScannerDecodesUnicodeEscapes) {
+  obs::JsonScanner in(R"(["\u0001", "\u00e9", "\ud83d\ude00"])", "test");
+  in.expect('[');
+  EXPECT_EQ(in.string_value(), "\x01");
+  in.expect(',');
+  EXPECT_EQ(in.string_value(), "\xc3\xa9");
+  in.expect(',');
+  EXPECT_EQ(in.string_value(), "\xf0\x9f\x98\x80");
+  in.expect(']');
+  EXPECT_TRUE(in.at_end());
 }
 
 TEST(ObsIntegration, SwapOptimalEmitsOneSpanPerSatCall) {

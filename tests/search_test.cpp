@@ -74,8 +74,7 @@ void expect_expired_sweep_reports_budget(SearchEngine engine) {
   Result sweep_diag;
   const ModelAt model_at = [&](int) -> SweepModel& { return model; };
   Result best = sweep_swaps(engine, model, model_at, incumbent,
-                            incumbent.depth, /*swap_upper_hint=*/-1,
-                            FactHub{}, deadline, sweep_diag);
+                            incumbent.depth, FactHub{}, deadline, sweep_diag);
   EXPECT_TRUE(sweep_diag.calls.empty());
   EXPECT_FALSE(sweep_diag.hit_budget);  // no call ran out of budget...
   finish(best, sweep_diag, deadline);

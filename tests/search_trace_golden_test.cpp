@@ -46,12 +46,6 @@ constexpr Pin kPins[] = {
     {"toffoli/qx2/swap/exchange", "a7557146fcb35717"},
     {"toffoli/qx2/swap/non-incremental", "a7557146fcb35717"},
     {"toffoli/qx2/swap/non-incremental/exchange", "a7557146fcb35717"},
-    {"toffoli/qx2/swap/hint=exact", "a7557146fcb35717"},
-    {"toffoli/qx2/swap/hint=exact/exchange", "a7557146fcb35717"},
-    {"toffoli/qx2/swap/hint=0", "a7557146fcb35717"},
-    {"toffoli/qx2/swap/hint=0/exchange", "a7557146fcb35717"},
-    {"toffoli/qx2/swap/hint=exact+3", "a7557146fcb35717"},
-    {"toffoli/qx2/swap/hint=exact+3/exchange", "a7557146fcb35717"},
     {"toffoli/qx2/tb-block", "ff5216c968a98711"},
     {"toffoli/qx2/tb-block/exchange", "ff5216c968a98711"},
     {"toffoli/qx2/tb-swap", "143cc26e6342a162"},
@@ -65,12 +59,6 @@ constexpr Pin kPins[] = {
     {"toffoli/grid1x3/swap/exchange", "8a131ac0500075bf"},
     {"toffoli/grid1x3/swap/non-incremental", "39dfcf637211933d"},
     {"toffoli/grid1x3/swap/non-incremental/exchange", "8a131ac0500075bf"},
-    {"toffoli/grid1x3/swap/hint=exact", "de40925af00809d7"},
-    {"toffoli/grid1x3/swap/hint=exact/exchange", "de40925af00809d7"},
-    {"toffoli/grid1x3/swap/hint=0", "16ce0239a39561a4"},
-    {"toffoli/grid1x3/swap/hint=0/exchange", "4ee30132aa3178f3"},
-    {"toffoli/grid1x3/swap/hint=exact+3", "39dfcf637211933d"},
-    {"toffoli/grid1x3/swap/hint=exact+3/exchange", "8a131ac0500075bf"},
     {"toffoli/grid1x3/tb-block", "5f595f5d4cf3861f"},
     {"toffoli/grid1x3/tb-block/exchange", "5f595f5d4cf3861f"},
     {"toffoli/grid1x3/tb-swap", "39a5817d34441833"},
@@ -84,12 +72,6 @@ constexpr Pin kPins[] = {
     {"qaoa6/grid2x3/swap/exchange", "b7d894d34710bdd3"},
     {"qaoa6/grid2x3/swap/non-incremental", "e86ca84308db103e"},
     {"qaoa6/grid2x3/swap/non-incremental/exchange", "6df7b35b4af6f6fc"},
-    {"qaoa6/grid2x3/swap/hint=exact", "1b18706b9f980706"},
-    {"qaoa6/grid2x3/swap/hint=exact/exchange", "b7d894d34710bdd3"},
-    {"qaoa6/grid2x3/swap/hint=0", "0da7d415c6049bc3"},
-    {"qaoa6/grid2x3/swap/hint=0/exchange", "cd7fbcd96165bc56"},
-    {"qaoa6/grid2x3/swap/hint=exact+3", "1b18706b9f980706"},
-    {"qaoa6/grid2x3/swap/hint=exact+3/exchange", "b7d894d34710bdd3"},
     {"qaoa6/grid2x3/tb-block", "27c2aa0e8ae007fc"},
     {"qaoa6/grid2x3/tb-block/exchange", "27c2aa0e8ae007fc"},
     {"qaoa6/grid2x3/tb-swap", "1f35cb4b6c408644"},
@@ -103,12 +85,6 @@ constexpr Pin kPins[] = {
     {"qft4/grid1x4/swap/exchange", "1986601184963f34"},
     {"qft4/grid1x4/swap/non-incremental", "9521ac7c360964ea"},
     {"qft4/grid1x4/swap/non-incremental/exchange", "bbc3065c8795bcc0"},
-    {"qft4/grid1x4/swap/hint=exact", "d459ad9d95937caa"},
-    {"qft4/grid1x4/swap/hint=exact/exchange", "1986601184963f34"},
-    {"qft4/grid1x4/swap/hint=0", "373ca1378e93a769"},
-    {"qft4/grid1x4/swap/hint=0/exchange", "88159633d3c79467"},
-    {"qft4/grid1x4/swap/hint=exact+3", "d459ad9d95937caa"},
-    {"qft4/grid1x4/swap/hint=exact+3/exchange", "1986601184963f34"},
     {"qft4/grid1x4/tb-block", "008afe9ce3d587a4"},
     {"qft4/grid1x4/tb-block/exchange", "008afe9ce3d587a4"},
     {"qft4/grid1x4/tb-swap", "97896149d79c7e50"},
@@ -122,12 +98,6 @@ constexpr Pin kPins[] = {
     {"queko4/grid2x3/swap/exchange", "5af91108bf4dbcb5"},
     {"queko4/grid2x3/swap/non-incremental", "464ab7fb8d895354"},
     {"queko4/grid2x3/swap/non-incremental/exchange", "5af91108bf4dbcb5"},
-    {"queko4/grid2x3/swap/hint=exact", "fb465a8ce9616033"},
-    {"queko4/grid2x3/swap/hint=exact/exchange", "5af91108bf4dbcb5"},
-    {"queko4/grid2x3/swap/hint=0", "fb465a8ce9616033"},
-    {"queko4/grid2x3/swap/hint=0/exchange", "5af91108bf4dbcb5"},
-    {"queko4/grid2x3/swap/hint=exact+3", "464ab7fb8d895354"},
-    {"queko4/grid2x3/swap/hint=exact+3/exchange", "5af91108bf4dbcb5"},
     {"queko4/grid2x3/tb-block", "ff5216c968a98711"},
     {"queko4/grid2x3/tb-block/exchange", "ff5216c968a98711"},
     {"queko4/grid2x3/tb-swap", "143cc26e6342a162"},
@@ -258,14 +228,6 @@ Table compute_table() {
     pin_engine(table, n + "/depth/non-incremental", problem, one_shot, depth);
     pin_engine(table, n + "/swap", problem, defaults, swap);
     pin_engine(table, n + "/swap/non-incremental", problem, one_shot, swap);
-    const int exact = synthesize_swap_optimal(problem).swap_count;
-    // Exact, too low (a refuted jump probe) and too high (a useless one).
-    for (const auto& [label, hint] :
-         {std::pair{"exact", exact}, {"0", 0}, {"exact+3", exact + 3}}) {
-      OptimizerOptions hinted;
-      hinted.swap_upper_hint = hint;
-      pin_engine(table, n + "/swap/hint=" + label, problem, hinted, swap);
-    }
     pin_engine(table, n + "/tb-block", problem, defaults, tb_block);
     pin_engine(table, n + "/tb-swap", problem, defaults, tb_swap);
 
