@@ -26,12 +26,19 @@
 //                       an induced edge from every cyclic enumerated
 //                       subgraph) and require the subarch lift-soundness
 //                       differential oracle to catch the inflated optimum
+//     --inject-floor-bug
+//                       self-test: enable the deliberate SWAP-floor bug
+//                       (OLSQ2_FUZZ_INJECT_FLOOR_BUG, which raises the
+//                       floor of the Pareto sweep one above what was
+//                       proven) and require the engine differential's
+//                       pruned-call oracle to catch a pruned SAT call
 //
 // Both `--flag value` and `--flag=value` spellings are accepted. At least
 // one of --seconds/--iterations must be given (except with --inject-bug,
 // which supplies its own bounded loop). Any failure replays exactly from
 // the printed `--seed B --iterations I` pair. Exit code 0 iff no oracle
 // failed (with --inject-bug: iff the bug WAS caught and reduced).
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -48,7 +55,8 @@ using namespace olsq2;
             << "usage: olsq2_fuzz [--seed N] [--seconds S] [--iterations K]\n"
             << "                  [--out DIR] [--no-reduce] [--stop-on-failure]\n"
             << "                  [--verbose] [--inject-bug] [--inject-sat-bug]\n"
-            << "                  [--inject-plan-bug] [--inject-subarch-bug]\n";
+            << "                  [--inject-plan-bug] [--inject-subarch-bug]\n"
+            << "                  [--inject-floor-bug]\n";
   std::exit(2);
 }
 
@@ -219,6 +227,47 @@ int run_inject_subarch_bug_selftest(const fuzz::FuzzOptions& options) {
   return 0;
 }
 
+int run_inject_floor_bug_selftest(const fuzz::FuzzOptions& options) {
+  // The armed floor overshoots every raise by one, so a sweep prunes the
+  // call at the true floor. That changes an answer only when the call was
+  // SAT, i.e. on instances whose optimum sits exactly at the floor; sweep
+  // the seed stream until the pruned-call oracle re-decides one as SAT.
+  setenv("OLSQ2_FUZZ_INJECT_FLOOR_BUG", "1", /*overwrite=*/1);
+  const int iterations = options.iterations > 0 ? options.iterations : 200;
+  int caught_at = -1;
+  std::vector<std::string> errors;
+  for (int i = 0; i < iterations; ++i) {
+    const std::uint64_t seed = fuzz::derive_seed(options.seed, i);
+    const fuzz::Instance instance = fuzz::random_instance(seed, options.gen);
+    const fuzz::OracleReport result = fuzz::check_engine_differential(instance);
+    if (options.verbose) {
+      std::cerr << "[fuzz] iter=" << i << " seed=" << seed
+                << " oracle=engine_differential ok=" << (result.ok ? 1 : 0)
+                << "\n";
+    }
+    const bool floor_caught = std::any_of(
+        result.errors.begin(), result.errors.end(), [](const std::string& e) {
+          return e.find("the SWAP floor pruned") != std::string::npos;
+        });
+    if (floor_caught) {
+      caught_at = i;
+      errors = result.errors;
+      break;
+    }
+  }
+  unsetenv("OLSQ2_FUZZ_INJECT_FLOOR_BUG");
+
+  if (caught_at < 0) {
+    std::cerr << "olsq2_fuzz: injected SWAP-floor bug was NOT caught in "
+              << iterations << " iterations\n";
+    return 1;
+  }
+  std::cout << "inject-floor-bug self-test passed: caught at iteration "
+            << caught_at << "\n";
+  for (const std::string& e : errors) std::cout << "  " << e << "\n";
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -228,6 +277,7 @@ int main(int argc, char** argv) {
   bool inject_sat_bug = false;
   bool inject_plan_bug = false;
   bool inject_subarch_bug = false;
+  bool inject_floor_bug = false;
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     std::string value;
@@ -253,6 +303,8 @@ int main(int argc, char** argv) {
       inject_plan_bug = true;
     } else if (args[i] == "--inject-subarch-bug") {
       inject_subarch_bug = true;
+    } else if (args[i] == "--inject-floor-bug") {
+      inject_floor_bug = true;
     } else {
       usage_error("unknown argument: " + args[i]);
     }
@@ -262,6 +314,7 @@ int main(int argc, char** argv) {
   if (inject_sat_bug) return run_inject_sat_bug_selftest(options);
   if (inject_plan_bug) return run_inject_plan_bug_selftest(options);
   if (inject_subarch_bug) return run_inject_subarch_bug_selftest(options);
+  if (inject_floor_bug) return run_inject_floor_bug_selftest(options);
 
   if (options.seconds <= 0.0 && options.iterations <= 0) {
     usage_error("need --seconds or --iterations");

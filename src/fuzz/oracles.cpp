@@ -54,6 +54,27 @@ void check_verified(OracleReport& report, const layout::Problem& problem,
   }
 }
 
+/// Re-decides every call of `result` that was pruned (`'P'`) with
+/// `decide`, a fixed-bound solve that knows nothing of the SWAP floor; each
+/// must be UNSAT.
+template <class Decide>
+void check_pruned_calls(OracleReport& report, const layout::Result& result,
+                        const std::string& what, const Decide& decide) {
+  for (const layout::SolveCall& call : result.calls) {
+    if (call.status != 'P') continue;
+    const std::string at = "(" + std::to_string(call.depth_bound) + ", <= " +
+                           std::to_string(call.swap_bound) + ")";
+    const layout::Result fixed = decide(call.depth_bound, call.swap_bound);
+    if (fixed.hit_budget) {
+      report.fail(what + ": re-deciding the pruned call " + at +
+                  " blew the budget");
+    } else if (fixed.solved) {
+      report.fail(what + ": the SWAP floor pruned " + at + ", but it has a " +
+                  std::to_string(fixed.swap_count) + "-SWAP solution");
+    }
+  }
+}
+
 }  // namespace
 
 OracleReport check_encoding_differential(const Instance& instance) {
@@ -168,6 +189,22 @@ OracleReport check_engine_differential(const Instance& instance) {
                 std::to_string(tb.swap_count) + " exceeds time-resolved " +
                 std::to_string(swap_opt.swap_count));
   }
+  // No exchange is attached, so every pruned call of either sweep comes
+  // from the SWAP floor and must be UNSAT without it. A floor one too high
+  // returns a SWAP count above the optimum that every check here would
+  // otherwise accept (tb <= opt still holds).
+  check_pruned_calls(report, swap_opt, describe(instance) + ": swap-opt",
+                     [&](int bound, int swaps) {
+                       return layout::solve_fixed(problem, bound, swaps, {},
+                                                  layout::Deadline(kBudgetMs));
+                     });
+  check_pruned_calls(report, tb, describe(instance) + ": TB",
+                     [&](int bound, int swaps) {
+                       return layout::tb_solve_fixed(
+                           problem, bound, swaps, {},
+                           layout::Deadline(kBudgetMs));
+                     });
+
   // Expansion back to a concrete schedule must satisfy the strict verifier
   // and preserve the SWAP count.
   const layout::Result expanded = layout::expand_transition_result(problem, tb);
@@ -528,10 +565,13 @@ OracleReport check_plan(const Instance& instance) {
   if (report.ok && planned.swap_count < tb.swap_count) {
     // A machine-verified solution beat the SAT descent. TB's descent stops
     // at the first block relaxation that brings no SWAP improvement, so a
-    // plateau-then-drop objective curve makes this legal - but then the
-    // encoding itself must agree the cheaper solution exists. Arbitrate
-    // with one fixed solve at the plan's bound: the plan solution uses one
-    // block per SWAP, so swap_count+1 blocks suffice.
+    // plateau-then-drop objective curve makes this legal when TB's SWAP
+    // count exceeds the block count it stopped at (below that its SWAP
+    // floor proves the count optimal, and a wrong floor is the engine
+    // differential's to catch) - but then the encoding itself must agree
+    // the cheaper solution exists. Arbitrate with one fixed solve at the
+    // plan's bound: the plan solution uses one block per SWAP, so
+    // swap_count+1 blocks suffice.
     const layout::Result arbiter = layout::tb_solve_fixed(
         problem, planned.swap_count + 1, planned.swap_count, {},
         layout::Deadline(kBudgetMs));
@@ -546,7 +586,8 @@ OracleReport check_plan(const Instance& instance) {
                   "optimum was " +
                   std::to_string(tb.swap_count) + ")");
     }
-    // SAT: TB's patience rule stopped early on a plateau; not a bug.
+    // SAT: TB's patience rule stopped early on a plateau, with more SWAPs
+    // than blocks; not a bug.
   }
 
   // Heuristic engines bound the certified optimum from above. A* results

@@ -9,7 +9,10 @@
 //     must pass layout::verify.
 //   check_engine_differential - exact OLSQ2 optima vs TB-OLSQ2 relaxation
 //     vs A*/SABRE heuristic upper bounds: tb_swaps <= opt_swaps <=
-//     heuristic_swaps, opt_depth <= heuristic_depth, verifier green on all.
+//     heuristic_swaps, opt_depth <= heuristic_depth, verifier green on all;
+//     every call either SWAP sweep pruned by its floor is UNSAT when
+//     re-decided by a fixed-bound solve (catches
+//     OLSQ2_FUZZ_INJECT_FLOOR_BUG, see --inject-floor-bug).
 //   check_metamorphic - optimal depth / SWAP count invariant (or shifted by
 //     the known amount) under the transforms of metamorphic.h.
 //   check_sat_core - CDCL vs reference DPLL on random CNF; UNSAT answers
@@ -64,8 +67,12 @@ OracleReport check_cache(const Instance& instance, std::uint64_t seed);
 ///   - a *verified* plan solution BELOW TB's count is arbitrated with one
 ///     extra SAT call (tb_solve_fixed at the plan's bound): SAT means TB's
 ///     patience rule stopped early (legal - its descent terminates on the
-///     first no-improvement block relaxation), UNSAT refutes the SAT
-///     encoding itself, since a machine-verified cheaper solution exists.
+///     first no-improvement block relaxation, which can leave the optimum
+///     unproven only when TB's SWAP count exceeds the block count it
+///     stopped at; below that the SWAP floor proves it), UNSAT refutes the
+///     SAT encoding itself, since a machine-verified cheaper solution
+///     exists. A floor set too high is not caught here but by
+///     check_engine_differential, which re-decides every pruned call.
 /// Also checks plan results against the TB verifier, the heuristic engines'
 /// upper bounds, and that a budget-starved plan run still returns a sound
 /// upper bound (never below the certified optimum).

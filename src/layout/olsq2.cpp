@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "layout/search.h"
+#include "layout/tb.h"
 #include "obs/obs.h"
 
 namespace olsq2::layout {
@@ -72,7 +73,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
     // Shared facts: skip past bounds a portfolio peer already refuted, and
     // never relax beyond a bound a peer already proved satisfiable.
     if (t_b <= facts.depth_unsat_max() && t_b < t_ub) {
-      record_pruned(diag, t_b, -1, facts);
+      record_pruned(diag, t_b, -1, PruneReason::kPeer, facts);
       t_b = std::min(
           {next_relaxed_bound(facts.depth_unsat_max(), options), t_ub,
            std::max(facts.depth_sat_min(), t_lb)});
@@ -108,7 +109,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
     if (t_b <= facts.depth_unsat_max()) {
       // A peer already proved this bound (hence everything below it)
       // unsatisfiable: the incumbent is optimal.
-      record_pruned(diag, t_b, -1, facts);
+      record_pruned(diag, t_b, -1, PruneReason::kPeer, facts);
       break;
     }
     if (!options.incremental) {
@@ -165,9 +166,15 @@ Result synthesize_swap_optimal(const Problem& problem,
     }
     return *model;
   };
+  // The SWAP floor's probes solve the TB relaxation in models of their own,
+  // off the exchange: their variable numbering differs from this model's.
+  const FloorProbe floor_probe = [&](int swaps) {
+    return tb_floor_probe(problem, swaps, config, deadline, diag);
+  };
   Result best = sweep_swaps(SearchEngine::kTimeResolved, *model, model_at,
                             outcome.best, outcome.best.depth,
-                            FactHub{options.exchange}, deadline, diag);
+                            FactHub{options.exchange}, floor_probe, deadline,
+                            diag);
   finish(best, diag, deadline);
   return best;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -27,6 +28,43 @@ const EngineNames& names(SearchEngine engine) {
       {"olsq2.solve", "olsq2.swap_sweep", "depth_bound", "time-resolved"},
       {"tb.solve", "tb.swap_sweep", "block_bound", "transition-based"}};
   return kNames[static_cast<int>(engine)];
+}
+
+// Fault injection for the fuzzing harness (src/fuzz/): when
+// OLSQ2_FUZZ_INJECT_FLOOR_BUG is set, every raise of the SWAP floor
+// overshoots by one, so the sweep prunes a call nothing proved UNSAT.
+// check_engine_differential's floor oracle must catch it (olsq2_fuzz
+// --inject-floor-bug). Read per sweep, so a test can toggle it.
+int floor_bug() {
+  const char* v = std::getenv("OLSQ2_FUZZ_INJECT_FLOOR_BUG");
+  return v != nullptr && v[0] != '\0' && v[0] != '0' ? 1 : 0;
+}
+
+/// Counts below `value` are proven infeasible at every horizon.
+struct SwapFloor {
+  int value = 0;
+  bool exact = false;  // a floor probe found `value` itself feasible
+  int bug = floor_bug();
+
+  void raise_to(int proven_infeasible_below) {
+    value = std::max(value, proven_infeasible_below + bug);
+  }
+};
+
+/// Probe k = floor.value, floor.value+1, ... until a probe is SAT or the
+/// floor passes `target`. Returns false when a probe ran out of budget.
+bool raise_floor(const FloorProbe& probe, int target, SwapFloor& floor) {
+  while (floor.value <= target) {
+    const int k = floor.value;
+    const sat::LBool status = probe(k);
+    if (status == sat::LBool::kUndef) return false;
+    if (status == sat::LBool::kTrue) {
+      floor.exact = true;
+      return true;
+    }
+    floor.raise_to(k + 1);
+  }
+  return true;
 }
 
 }  // namespace
@@ -140,31 +178,40 @@ sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
 }
 
 void record_pruned(Result& diag, int bound, int swap_bound,
-                   const FactHub& facts) {
+                   PruneReason reason, const FactHub& facts) {
   SolveCall call;
   call.depth_bound = bound;
   call.swap_bound = swap_bound;
   call.status = 'P';
   diag.calls.push_back(call);
-  if (facts.ex) facts.ex->note_pruned_call();
-  if (obs::Trace::instance().enabled()) obs::instant("olsq2.bound_pruned");
+  const bool by_peer = reason == PruneReason::kPeer;
+  if (by_peer && facts.ex) facts.ex->note_pruned_call();
+  if (obs::Trace::instance().enabled()) {
+    obs::instant("olsq2.bound_pruned",
+                 {{"reason", by_peer ? "peer" : "swap_floor", /*quoted=*/true}});
+  }
   if (obs::metrics::enabled()) {
-    static obs::metrics::Counter& pruned =
-        obs::metrics::Registry::instance().counter(
-            "layout_pruned_probes_total",
-            "SAT calls skipped because a shared bound fact already decided "
-            "them");
-    pruned.inc();
+    const auto pruned = [](const char* why) -> obs::metrics::Counter& {
+      return obs::metrics::Registry::instance().counter(
+          "layout_pruned_probes_total",
+          "SAT calls skipped because their answer was already proven, by a "
+          "peer's shared bound fact or the SWAP floor",
+          {{"reason", why}});
+    };
+    static obs::metrics::Counter& peer = pruned("peer");
+    static obs::metrics::Counter& swap_floor = pruned("swap_floor");
+    (by_peer ? peer : swap_floor).inc();
   }
 }
 
 Result sweep_swaps(SearchEngine engine, SweepModel& model,
                    const ModelAt& model_at, Result best, int bound,
-                   const FactHub& facts, const Deadline& deadline,
-                   Result& diag) {
+                   const FactHub& facts, const FloorProbe& floor_probe,
+                   const Deadline& deadline, Result& diag) {
   SweepModel* current = &model;
   std::vector<std::pair<int, int>> pareto;
   int prev_bound_swaps = -1;
+  SwapFloor floor;
 
   while (true) {
     // Iterative descent on the SWAP bound at this horizon: start from the
@@ -175,10 +222,18 @@ Result sweep_swaps(SearchEngine engine, SweepModel& model,
     while (incumbent > 0) {
       if (deadline.expired()) break;
       const int target = incumbent - 1;
-      if (facts.swap_known_unsat(bound, target)) {
-        // A peer proved (horizon <= bound, swaps <= target) empty; our
-        // query is a subset of that region.
-        record_pruned(diag, bound, target, facts);
+      // A peer proved (horizon <= bound, swaps <= target) empty; our query
+      // is a subset of that region.
+      const bool peer_fact = facts.swap_known_unsat(bound, target);
+      if (!peer_fact && floor_probe && !floor.exact &&
+          target >= floor.value && !raise_floor(floor_probe, target, floor)) {
+        break;
+      }
+      if (target < floor.value || peer_fact) {
+        record_pruned(diag, bound, target,
+                      target < floor.value ? PruneReason::kSwapFloor
+                                           : PruneReason::kPeer,
+                      facts);
         break;
       }
       const std::vector<Lit> assumptions = {current->horizon_bound(bound),
@@ -186,7 +241,15 @@ Result sweep_swaps(SearchEngine engine, SweepModel& model,
       const sat::LBool status = solve_call(engine, current->solver(),
                                            assumptions, bound, target,
                                            deadline, diag);
-      if (status == sat::LBool::kFalse) facts.note_swap_unsat(bound, target);
+      if (status == sat::LBool::kFalse) {
+        facts.note_swap_unsat(bound, target);
+        // TB block saturation: a TB solution with <= target SWAPs has at
+        // most target non-empty transitions, so it fits in target+1 <= bound
+        // blocks, and this UNSAT holds at every horizon.
+        if (engine == SearchEngine::kTransitionBased && target < bound) {
+          floor.raise_to(target + 1);
+        }
+      }
       if (status != sat::LBool::kTrue) break;
       Result candidate = current->extract();
       if (candidate.swap_count < best.swap_count ||
@@ -197,6 +260,10 @@ Result sweep_swaps(SearchEngine engine, SweepModel& model,
       incumbent = std::min(target, candidate.swap_count);
     }
     pareto.emplace_back(bound, best.swap_count);
+    if (sweep_span.live()) {
+      sweep_span.arg("swap_floor", floor.value);
+      sweep_span.arg("floor_exact", floor.exact);
+    }
 
     // Termination: the optimum cannot improve, the previous relaxation
     // brought no gain (Pareto-terminal, paper condition 2), or the budget

@@ -1,8 +1,9 @@
 // The bound-search driver shared by the OLSQ2 and TB engines (DESIGN.md
 // §8.1): the deadline, the SAT-call emitter that fills every SolveCall, the
-// 2-D Pareto SWAP sweep (paper §III-B2) and the diagnostics merge. Each
-// engine keeps its own horizon walk - depth relax-then-decrement for
-// OLSQ2, a +1 block walk for TB - because those differ in real ways.
+// 2-D Pareto SWAP sweep (paper §III-B2) with its SWAP floor, and the
+// diagnostics merge. Each engine keeps its own horizon walk - depth
+// relax-then-decrement for OLSQ2, a +1 block walk for TB - because those
+// differ in real ways.
 #pragma once
 
 #include <atomic>
@@ -64,9 +65,17 @@ sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
                       const std::vector<Lit>& assumptions, int bound,
                       int swap_bound, const Deadline& deadline, Result& diag);
 
-/// Record a bound decided by a shared fact without running the solver.
+/// Why a bound was decided without a SAT call.
+enum class PruneReason {
+  kPeer,       // a portfolio peer's shared bound fact (FactHub)
+  kSwapFloor,  // the SWAP floor of sweep_swaps
+};
+
+/// Record a bound decided without running the solver: a `'P'` SolveCall,
+/// an `olsq2.bound_pruned` instant and `layout_pruned_probes_total`, each
+/// carrying `reason`.
 void record_pruned(Result& diag, int bound, int swap_bound,
-                   const FactHub& facts);
+                   PruneReason reason, const FactHub& facts);
 
 /// What the SWAP sweep needs from an engine model: a solver and two
 /// assumption literals, horizon <= `bound` and SWAPs <= `swaps`. Models
@@ -86,16 +95,38 @@ class SweepModel {
 /// engine's own rule when needed.
 using ModelAt = std::function<SweepModel&(int bound)>;
 
+/// Decides the transition-based relaxation at (`swaps`+1 blocks, <= `swaps`
+/// SWAPs) as one SAT call recorded into the sweep's diagnostics (see
+/// tb_floor_probe in tb.h).
+using FloorProbe = std::function<sat::LBool(int swaps)>;
+
 /// The 2-D Pareto sweep (paper §III-B2). At each horizon, starting from
 /// `bound` on `model` with incumbent `best`, tighten the SWAP bound one
 /// below the incumbent until UNSAT; then relax the horizon by one (through
 /// `model_at`) while the SWAP count keeps improving. Facts in `facts`
 /// prune calls and receive every UNSAT. Returns the best solution, with
 /// `pareto` set.
+///
+/// The sweep keeps a SWAP floor: every count below it is proven infeasible
+/// at every horizon, so a descent step whose target is below it is
+/// recorded as pruned (PruneReason::kSwapFloor) instead of solved. It has
+/// two sources (DESIGN.md §8.1):
+///   - TB block saturation: a transition-based solution with s SWAPs fits
+///     in s+1 blocks, so a TB descent UNSAT at (B blocks, <= t) with t < B
+///     raises the floor to t+1;
+///   - `floor_probe` (the time-resolved engine's): before the first call
+///     whose target is at or above the floor, probes k = floor, floor+1, ...
+///     until one is SAT (the floor is then exact and never probed again) or
+///     the floor passes the target. An UNSAT probe at k raises the floor to
+///     k+1, since the TB model relaxes the time-resolved one. A probe that
+///     runs out of budget raises nothing and ends the descent.
+/// Pruning skips only calls whose answer is proven UNSAT, so a sweep that
+/// runs to completion returns the optimum and Pareto points of the
+/// unpruned one.
 Result sweep_swaps(SearchEngine engine, SweepModel& model,
                    const ModelAt& model_at, Result best, int bound,
-                   const FactHub& facts, const Deadline& deadline,
-                   Result& diag);
+                   const FactHub& facts, const FloorProbe& floor_probe,
+                   const Deadline& deadline, Result& diag);
 
 /// Move the search diagnostics in `diag` into `result`. The result reports
 /// hit_budget when any call ran out of budget or the deadline has passed,

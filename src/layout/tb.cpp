@@ -283,6 +283,26 @@ std::unique_ptr<TbModel> make_tb_model(const Problem& problem, int max_blocks,
   return model;
 }
 
+/// One fixed-bound TB solve recorded into `diag`; decodes into `solution`
+/// when SAT and `solution` is non-null.
+sat::LBool decide_tb_fixed(const Problem& problem, int blocks, int swap_bound,
+                           const EncodingConfig& config,
+                           const Deadline& deadline, Result& diag,
+                           Result* solution) {
+  if (deadline.expired()) return sat::LBool::kUndef;
+  TbModel model(problem, blocks, config);
+  if (swap_bound >= 0) {
+    model.assert_swap_bound_hard(swap_bound, config.cardinality);
+  }
+  const sat::LBool status =
+      solve_call(SearchEngine::kTransitionBased, model.solver(), {},
+                 /*bound=*/-1, swap_bound, deadline, diag);
+  if (status == sat::LBool::kTrue && solution != nullptr) {
+    *solution = model.extract();
+  }
+  return status;
+}
+
 struct TbBlockPhase {
   std::unique_ptr<TbModel> model;
   Result best;
@@ -344,7 +364,8 @@ Result tb_synthesize_swap_optimal(const Problem& problem,
 
   // Relaxing past the model's capacity regenerates it with exactly the
   // blocks asked for. TB does not read the fact hub: block bounds are not
-  // depth bounds, so the shared facts do not apply.
+  // depth bounds, so the shared facts do not apply. Its SWAP floor needs no
+  // probe: its own descent UNSATs saturate the blocks (search.h).
   std::unique_ptr<TbModel> model = std::move(phase.model);
   const ModelAt model_at = [&](int blocks) -> SweepModel& {
     if (blocks > model->max_blocks()) {
@@ -353,8 +374,8 @@ Result tb_synthesize_swap_optimal(const Problem& problem,
     return *model;
   };
   Result best = sweep_swaps(SearchEngine::kTransitionBased, *model, model_at,
-                            phase.best, phase.blocks, FactHub{}, deadline,
-                            diag);
+                            phase.best, phase.blocks, FactHub{},
+                            FloorProbe{}, deadline, diag);
   finish(best, diag, deadline);
   return best;
 }
@@ -363,19 +384,17 @@ Result tb_solve_fixed(const Problem& problem, int blocks, int swap_bound,
                       const EncodingConfig& config, const Deadline& deadline) {
   Result diag;
   Result result;
-  if (!deadline.expired()) {
-    TbModel model(problem, blocks, config);
-    if (swap_bound >= 0) {
-      model.assert_swap_bound_hard(swap_bound, config.cardinality);
-    }
-    if (solve_call(SearchEngine::kTransitionBased, model.solver(), {},
-                   /*bound=*/-1, swap_bound, deadline,
-                   diag) == sat::LBool::kTrue) {
-      result = model.extract();
-    }
-  }
+  decide_tb_fixed(problem, blocks, swap_bound, config, deadline, diag,
+                  &result);
   finish(result, diag, deadline);
   return result;
+}
+
+sat::LBool tb_floor_probe(const Problem& problem, int swaps,
+                          const EncodingConfig& config,
+                          const Deadline& deadline, Result& diag) {
+  return decide_tb_fixed(problem, swaps + 1, swaps, config, deadline, diag,
+                         nullptr);
 }
 
 }  // namespace olsq2::layout

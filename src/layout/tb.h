@@ -90,4 +90,15 @@ Result tb_solve_fixed(const Problem& problem, int blocks, int swap_bound,
                       const EncodingConfig& config = {},
                       const Deadline& deadline = Deadline());
 
+/// The time-resolved sweep's SWAP-floor probe (search.h): decides the TB
+/// model at (`swaps`+1 blocks, <= `swaps`) as one SAT call recorded into
+/// `diag` as {-1, swaps, status}. UNSAT proves that no time-resolved
+/// solution has <= `swaps` SWAPs at any depth: cutting a schedule at each
+/// distinct SWAP finish time gives a TB solution with the same SWAP count
+/// in at most `swaps`+1 blocks. kUndef when the deadline is spent or the
+/// call ran out of budget.
+sat::LBool tb_floor_probe(const Problem& problem, int swaps,
+                          const EncodingConfig& config,
+                          const Deadline& deadline, Result& diag);
+
 }  // namespace olsq2::layout

@@ -37,7 +37,8 @@ struct SolveCall {
   int depth_bound = -1;  // assumed depth bound (block bound for TB); -1 none
   int swap_bound = -1;   // assumed SWAP bound; -1 none
   char status = '?';     // 'S' = SAT, 'U' = UNSAT, '?' = budget expired,
-                         // 'P' = pruned by a shared bound fact (no SAT call)
+                         // 'P' = pruned, no SAT call: a peer's shared
+                         // bound fact or the SWAP floor proved it UNSAT
   std::uint64_t conflicts = 0;     // conflicts delta for this call
   std::uint64_t propagations = 0;  // propagations delta for this call
   std::uint64_t decisions = 0;     // decisions delta for this call

@@ -199,7 +199,7 @@ void counter(const char* name, double value) {
   trace.record(std::move(e));
 }
 
-void instant(const char* name) {
+void instant(const char* name, std::vector<Arg> args) {
   Trace& trace = Trace::instance();
   if (!trace.enabled()) return;
   Event e;
@@ -207,6 +207,7 @@ void instant(const char* name) {
   e.name = name;
   e.tid = Trace::thread_id();
   e.ts = trace.now_ns();
+  e.args = std::move(args);
   trace.record(std::move(e));
 }
 

@@ -143,8 +143,8 @@ class Span {
 /// Record a gauge sample for counter `name`.
 void counter(const char* name, double value);
 
-/// Record a point event.
-void instant(const char* name);
+/// Record a point event, with optional annotations.
+void instant(const char* name, std::vector<Arg> args = {});
 
 /// Build the human-readable summary tree from a flat event list (pure;
 /// exposed so tests can check aggregation). Nesting is reconstructed per

@@ -1,5 +1,7 @@
 // The shared bound-search driver (layout/search.h): the deadline, the SWAP
-// sweep's budget contract and the fixed-bound probes run under a deadline.
+// sweep's budget contract, its SWAP floor (probes honour the deadline and
+// every pruned call says why) and the fixed-bound probes run under a
+// deadline.
 #include "layout/search.h"
 
 #include <gtest/gtest.h>
@@ -7,12 +9,17 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "bengen/workloads.h"
 #include "device/presets.h"
 #include "layout/model.h"
 #include "layout/olsq2.h"
 #include "layout/tb.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace olsq2::layout {
 namespace {
@@ -73,8 +80,15 @@ void expect_expired_sweep_reports_budget(SearchEngine engine) {
   const Deadline deadline = expired_deadline();
   Result sweep_diag;
   const ModelAt model_at = [&](int) -> SweepModel& { return model; };
+  int probes = 0;
+  const FloorProbe probe = [&](int swaps) {
+    ++probes;
+    return tb_floor_probe(problem, swaps, {}, deadline, sweep_diag);
+  };
   Result best = sweep_swaps(engine, model, model_at, incumbent,
-                            incumbent.depth, FactHub{}, deadline, sweep_diag);
+                            incumbent.depth, FactHub{}, probe, deadline,
+                            sweep_diag);
+  EXPECT_EQ(probes, 0);
   EXPECT_TRUE(sweep_diag.calls.empty());
   EXPECT_FALSE(sweep_diag.hit_budget);  // no call ran out of budget...
   finish(best, sweep_diag, deadline);
@@ -90,6 +104,159 @@ TEST(SweepSwaps, ExpiredDeadlineReportsHitBudgetTimeResolved) {
 TEST(SweepSwaps, ExpiredDeadlineReportsHitBudgetTransitionBased) {
   expect_expired_sweep_reports_budget<TbModel>(
       SearchEngine::kTransitionBased);
+}
+
+/// The time-resolved sweep from `incumbent` at `bound` on `model`, with
+/// TB floor probes, all under `deadline`; diagnostics merged by finish.
+Result sweep_with_probes(const Problem& problem, Model& model,
+                         const Result& incumbent, int bound,
+                         const Deadline& deadline) {
+  Result diag;
+  const ModelAt model_at = [&](int) -> SweepModel& { return model; };
+  const FloorProbe probe = [&](int swaps) {
+    return tb_floor_probe(problem, swaps, {}, deadline, diag);
+  };
+  Result best = sweep_swaps(SearchEngine::kTimeResolved, model, model_at,
+                            incumbent, bound, FactHub{}, probe, deadline,
+                            diag);
+  finish(best, diag, deadline);
+  return best;
+}
+
+TEST(SwapFloor, CancelledProbeStopsProbingAndPrunesNothing) {
+  const circuit::Circuit circ = triangle();
+  const device::Device dev = device::grid(1, 3);
+  const Problem problem{&circ, &dev, 1};
+  Model model(problem, 6, {});
+  Result diag;
+  ASSERT_EQ(solve_call(SearchEngine::kTimeResolved, model.solver(), {}, -1,
+                       -1, Deadline(), diag),
+            sat::LBool::kTrue);
+  const Result incumbent = model.extract();
+  ASSERT_GT(incumbent.swap_count, 0);
+
+  std::atomic<bool> cancel{true};
+  const Result best = sweep_with_probes(problem, model, incumbent,
+                                        incumbent.depth,
+                                        Deadline(0.0, &cancel));
+  // One probe at the initial floor, cut by the token; no time-resolved
+  // call and nothing pruned.
+  ASSERT_EQ(best.calls.size(), 1u);
+  EXPECT_EQ(best.calls[0].depth_bound, -1);
+  EXPECT_EQ(best.calls[0].swap_bound, 0);
+  EXPECT_EQ(best.calls[0].status, '?');
+  EXPECT_TRUE(best.hit_budget);
+  EXPECT_EQ(best.swap_count, incumbent.swap_count);
+}
+
+/// How far a budgeted SWAP sweep may overrun its budget. The SAT call that
+/// is running stops at its solver's next time check, but encoding a probe's
+/// TB model or a regrown time-resolved model is not interruptible.
+constexpr double kOvershootMs = 250.0;
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// QAOA on 10 qubits of a 2x5 grid: the time-resolved incumbent at the
+/// optimal depth has 10+ SWAPs, and the TB floor probe at 2 SWAPs takes
+/// seconds to refute, so a short budget always ends inside the probes.
+struct ProbingInstance {
+  circuit::Circuit circ = bengen::qaoa_3regular(10, 1);
+  device::Device dev = device::grid(2, 5);
+  Problem problem{&circ, &dev, 1};
+};
+
+TEST(SwapFloor, ShortBudgetEndsInsideTheProbesWithinTheOvershootBound) {
+  const ProbingInstance inst;
+  Model model(inst.problem, 9, {});
+  Result diag;
+  ASSERT_EQ(solve_call(SearchEngine::kTimeResolved, model.solver(),
+                       {model.depth_bound(8)}, 8, -1, Deadline(), diag),
+            sat::LBool::kTrue);
+  const Result incumbent = model.extract();
+  ASSERT_GT(incumbent.swap_count, 3);
+
+  const double budget_ms = 150.0;
+  const auto start = std::chrono::steady_clock::now();
+  const Result best = sweep_with_probes(inst.problem, model, incumbent, 8,
+                                        Deadline(budget_ms));
+  const double wall_ms = ms_since(start);
+
+  EXPECT_LT(wall_ms, budget_ms + kOvershootMs);
+  EXPECT_TRUE(best.hit_budget);
+  ASSERT_FALSE(best.calls.empty());
+  for (const SolveCall& call : best.calls) {
+    EXPECT_EQ(call.depth_bound, -1);  // probes only...
+    EXPECT_NE(call.status, 'P');      // ...and nothing pruned
+  }
+  EXPECT_EQ(best.calls.back().status, '?');
+  EXPECT_EQ(best.swap_count, incumbent.swap_count);
+}
+
+TEST(SwapFloor, ShortTimeBudgetReturnsWithinTheOvershootBound) {
+  const ProbingInstance inst;
+  for (const double budget_ms : {100.0, 600.0}) {
+    OptimizerOptions options;
+    options.time_budget_ms = budget_ms;
+    const auto start = std::chrono::steady_clock::now();
+    const Result r = synthesize_swap_optimal(inst.problem, {}, options);
+    const double wall_ms = ms_since(start);
+    EXPECT_TRUE(r.hit_budget) << "budget " << budget_ms;
+    EXPECT_LT(wall_ms, budget_ms + kOvershootMs) << "budget " << budget_ms;
+  }
+}
+
+TEST(SwapFloor, PrunedCallsSayWhy) {
+  // TB on the triangle: 2 blocks and 1 SWAP, so the UNSAT at (2 blocks,
+  // <= 0) saturates the blocks and the relaxed step at 3 blocks is pruned
+  // by the floor.
+  const circuit::Circuit circ = triangle();
+  const device::Device dev = device::grid(1, 3);
+  const Problem problem{&circ, &dev, 1};
+  obs::metrics::set_enabled(true);
+  obs::metrics::Registry::instance().reset_all();
+  obs::Trace::instance().begin_capture("");
+  const Result r = tb_synthesize_swap_optimal(problem);
+  const std::vector<obs::Event> events = obs::Trace::instance().snapshot();
+  obs::Trace::instance().end_capture();
+  ASSERT_FALSE(r.calls.empty());
+  EXPECT_EQ(r.calls.back().depth_bound, 3);
+  EXPECT_EQ(r.calls.back().swap_bound, 0);
+  EXPECT_EQ(r.calls.back().status, 'P');
+
+  const auto arg_of = [](const obs::Event& e, const std::string& key) {
+    for (const obs::Arg& a : e.args) {
+      if (a.key == key) return a.value;
+    }
+    return std::string();
+  };
+  int pruned_instants = 0;
+  std::string last_floor;
+  for (const obs::Event& e : events) {
+    if (e.name == "olsq2.bound_pruned") {
+      ++pruned_instants;
+      EXPECT_EQ(arg_of(e, "reason"), "swap_floor");
+    }
+    if (e.name == "tb.swap_sweep") last_floor = arg_of(e, "swap_floor");
+  }
+  EXPECT_EQ(pruned_instants, 1);
+  EXPECT_EQ(last_floor, "1");
+
+  double floor_pruned = 0;
+  for (const auto& family : obs::metrics::Registry::instance().snapshot()) {
+    if (family.name != "layout_pruned_probes_total") continue;
+    for (const auto& series : family.series) {
+      if (series.labels ==
+          obs::metrics::Labels{{"reason", "swap_floor"}}) {
+        floor_pruned = series.value;
+      }
+    }
+  }
+  obs::metrics::set_enabled(false);
+  EXPECT_EQ(floor_pruned, 1.0);
 }
 
 TEST(FixedProbe, ExpiredDeadlineReturnsHitBudgetWithoutSolving) {

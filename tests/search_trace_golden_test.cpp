@@ -1,11 +1,13 @@
 // Golden search traces: pins the exact SAT-call sequence of every bound
 // search - OLSQ2 depth and SWAP optimization, TB block and SWAP
 // optimization, and the subarchitecture ladder - on a handful of small
-// instances. Each row is an FNV-1a digest of the (depth_bound, swap_bound,
-// status) sequence of Result::calls plus the objective and the Pareto
-// points, so a refactor of the search drivers that issues one call more,
-// one call fewer, or the same calls in another order shows up here even
-// when the optimum is unchanged.
+// instances. Each row holds two FNV-1a digests. The calls digest covers the
+// (depth_bound, swap_bound, status) sequence of Result::calls plus the
+// objective and the Pareto points, so a refactor of the search drivers that
+// issues one call more, one call fewer, or the same calls in another order
+// shows up here even when the optimum is unchanged. The result digest
+// covers the objective and the Pareto points alone, so a change meant to
+// prune calls can show that every answer stayed the same.
 //
 // On a mismatch the test prints the whole actual table in the kPins format
 // below; only paste it back after deciding that the search is meant to
@@ -31,78 +33,82 @@
 namespace olsq2::layout {
 namespace {
 
+/// `calls` digests the whole record; `result` digests only its
+/// `|solved|depth|swaps|budget|pareto` suffix, so a change that only
+/// prunes or adds calls keeps every `result` digest.
 struct Pin {
   const char* name;
-  const char* digest;
+  const char* calls;
+  const char* result;
 };
 
 // clang-format off
 constexpr Pin kPins[] = {
-    {"toffoli/qx2/depth", "66d674641c68e841"},
-    {"toffoli/qx2/depth/exchange", "66d674641c68e841"},
-    {"toffoli/qx2/depth/non-incremental", "66d674641c68e841"},
-    {"toffoli/qx2/depth/non-incremental/exchange", "66d674641c68e841"},
-    {"toffoli/qx2/swap", "a7557146fcb35717"},
-    {"toffoli/qx2/swap/exchange", "a7557146fcb35717"},
-    {"toffoli/qx2/swap/non-incremental", "a7557146fcb35717"},
-    {"toffoli/qx2/swap/non-incremental/exchange", "a7557146fcb35717"},
-    {"toffoli/qx2/tb-block", "ff5216c968a98711"},
-    {"toffoli/qx2/tb-block/exchange", "ff5216c968a98711"},
-    {"toffoli/qx2/tb-swap", "143cc26e6342a162"},
-    {"toffoli/qx2/tb-swap/exchange", "143cc26e6342a162"},
-    {"toffoli/qx2/ladder", "fb285c23ce53617e"},
-    {"toffoli/grid1x3/depth", "ea99d7fba7ce5a4a"},
-    {"toffoli/grid1x3/depth/exchange", "ea99d7fba7ce5a4a"},
-    {"toffoli/grid1x3/depth/non-incremental", "ea99d7fba7ce5a4a"},
-    {"toffoli/grid1x3/depth/non-incremental/exchange", "ea99d7fba7ce5a4a"},
-    {"toffoli/grid1x3/swap", "39dfcf637211933d"},
-    {"toffoli/grid1x3/swap/exchange", "8a131ac0500075bf"},
-    {"toffoli/grid1x3/swap/non-incremental", "39dfcf637211933d"},
-    {"toffoli/grid1x3/swap/non-incremental/exchange", "8a131ac0500075bf"},
-    {"toffoli/grid1x3/tb-block", "5f595f5d4cf3861f"},
-    {"toffoli/grid1x3/tb-block/exchange", "5f595f5d4cf3861f"},
-    {"toffoli/grid1x3/tb-swap", "39a5817d34441833"},
-    {"toffoli/grid1x3/tb-swap/exchange", "39a5817d34441833"},
-    {"toffoli/grid1x3/ladder", "1ee0f99639a5c4d7"},
-    {"qaoa6/grid2x3/depth", "cf42d2e85cdd7269"},
-    {"qaoa6/grid2x3/depth/exchange", "fe51267084a3520d"},
-    {"qaoa6/grid2x3/depth/non-incremental", "ebc672f313366a2b"},
-    {"qaoa6/grid2x3/depth/non-incremental/exchange", "37daf68238fa5b76"},
-    {"qaoa6/grid2x3/swap", "1b18706b9f980706"},
-    {"qaoa6/grid2x3/swap/exchange", "b7d894d34710bdd3"},
-    {"qaoa6/grid2x3/swap/non-incremental", "e86ca84308db103e"},
-    {"qaoa6/grid2x3/swap/non-incremental/exchange", "6df7b35b4af6f6fc"},
-    {"qaoa6/grid2x3/tb-block", "27c2aa0e8ae007fc"},
-    {"qaoa6/grid2x3/tb-block/exchange", "27c2aa0e8ae007fc"},
-    {"qaoa6/grid2x3/tb-swap", "1f35cb4b6c408644"},
-    {"qaoa6/grid2x3/tb-swap/exchange", "1f35cb4b6c408644"},
-    {"qaoa6/grid2x3/ladder", "d16b657160fa9e50"},
-    {"qft4/grid1x4/depth", "973a1b1738994253"},
-    {"qft4/grid1x4/depth/exchange", "319d09431d959e55"},
-    {"qft4/grid1x4/depth/non-incremental", "d2e5b73544415599"},
-    {"qft4/grid1x4/depth/non-incremental/exchange", "319d09431d959e55"},
-    {"qft4/grid1x4/swap", "d459ad9d95937caa"},
-    {"qft4/grid1x4/swap/exchange", "1986601184963f34"},
-    {"qft4/grid1x4/swap/non-incremental", "9521ac7c360964ea"},
-    {"qft4/grid1x4/swap/non-incremental/exchange", "bbc3065c8795bcc0"},
-    {"qft4/grid1x4/tb-block", "008afe9ce3d587a4"},
-    {"qft4/grid1x4/tb-block/exchange", "008afe9ce3d587a4"},
-    {"qft4/grid1x4/tb-swap", "97896149d79c7e50"},
-    {"qft4/grid1x4/tb-swap/exchange", "97896149d79c7e50"},
-    {"qft4/grid1x4/ladder", "5a1c56d9e5d26a99"},
-    {"queko4/grid2x3/depth", "3512a7785dd84ca9"},
-    {"queko4/grid2x3/depth/exchange", "737ee4806d37b8f2"},
-    {"queko4/grid2x3/depth/non-incremental", "3512a7785dd84ca9"},
-    {"queko4/grid2x3/depth/non-incremental/exchange", "737ee4806d37b8f2"},
-    {"queko4/grid2x3/swap", "464ab7fb8d895354"},
-    {"queko4/grid2x3/swap/exchange", "5af91108bf4dbcb5"},
-    {"queko4/grid2x3/swap/non-incremental", "464ab7fb8d895354"},
-    {"queko4/grid2x3/swap/non-incremental/exchange", "5af91108bf4dbcb5"},
-    {"queko4/grid2x3/tb-block", "ff5216c968a98711"},
-    {"queko4/grid2x3/tb-block/exchange", "ff5216c968a98711"},
-    {"queko4/grid2x3/tb-swap", "143cc26e6342a162"},
-    {"queko4/grid2x3/tb-swap/exchange", "143cc26e6342a162"},
-    {"queko4/grid2x3/ladder", "1f64842344c41c3a"},
+    {"toffoli/qx2/depth", "66d674641c68e841", "be4ecca0d4188e23"},
+    {"toffoli/qx2/depth/exchange", "66d674641c68e841", "be4ecca0d4188e23"},
+    {"toffoli/qx2/depth/non-incremental", "66d674641c68e841", "be4ecca0d4188e23"},
+    {"toffoli/qx2/depth/non-incremental/exchange", "66d674641c68e841", "be4ecca0d4188e23"},
+    {"toffoli/qx2/swap", "a7557146fcb35717", "7750be79a88c0571"},
+    {"toffoli/qx2/swap/exchange", "a7557146fcb35717", "7750be79a88c0571"},
+    {"toffoli/qx2/swap/non-incremental", "a7557146fcb35717", "7750be79a88c0571"},
+    {"toffoli/qx2/swap/non-incremental/exchange", "a7557146fcb35717", "7750be79a88c0571"},
+    {"toffoli/qx2/tb-block", "ff5216c968a98711", "884fcc8a9a38a694"},
+    {"toffoli/qx2/tb-block/exchange", "ff5216c968a98711", "884fcc8a9a38a694"},
+    {"toffoli/qx2/tb-swap", "143cc26e6342a162", "05f700a1003edc03"},
+    {"toffoli/qx2/tb-swap/exchange", "143cc26e6342a162", "05f700a1003edc03"},
+    {"toffoli/qx2/ladder", "fb285c23ce53617e", "884fcc8a9a38a694"},
+    {"toffoli/grid1x3/depth", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
+    {"toffoli/grid1x3/depth/exchange", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
+    {"toffoli/grid1x3/depth/non-incremental", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
+    {"toffoli/grid1x3/depth/non-incremental/exchange", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
+    {"toffoli/grid1x3/swap", "04c4f8769935bd54", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/swap/exchange", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/swap/non-incremental", "04c4f8769935bd54", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/swap/non-incremental/exchange", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/tb-block", "5f595f5d4cf3861f", "07a7f9053f29f186"},
+    {"toffoli/grid1x3/tb-block/exchange", "5f595f5d4cf3861f", "07a7f9053f29f186"},
+    {"toffoli/grid1x3/tb-swap", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
+    {"toffoli/grid1x3/tb-swap/exchange", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
+    {"toffoli/grid1x3/ladder", "1ee0f99639a5c4d7", "07a7f9053f29f186"},
+    {"qaoa6/grid2x3/depth", "cf42d2e85cdd7269", "a5ba14a519df113c"},
+    {"qaoa6/grid2x3/depth/exchange", "fe51267084a3520d", "f4cc14bdf83774c5"},
+    {"qaoa6/grid2x3/depth/non-incremental", "ebc672f313366a2b", "ab7dfffdcfc0d02e"},
+    {"qaoa6/grid2x3/depth/non-incremental/exchange", "37daf68238fa5b76", "ab7dfffdcfc0d02e"},
+    {"qaoa6/grid2x3/swap", "8e8fe0384d1b7e97", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/exchange", "5e9eab57de5b30ec", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/non-incremental", "60edb484c6c27087", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/non-incremental/exchange", "b921a4d5a04a9c67", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/tb-block", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
+    {"qaoa6/grid2x3/tb-block/exchange", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
+    {"qaoa6/grid2x3/tb-swap", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
+    {"qaoa6/grid2x3/tb-swap/exchange", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
+    {"qaoa6/grid2x3/ladder", "d16b657160fa9e50", "77865603cc49b0f4"},
+    {"qft4/grid1x4/depth", "973a1b1738994253", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth/exchange", "319d09431d959e55", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth/non-incremental", "d2e5b73544415599", "928480bba020df2e"},
+    {"qft4/grid1x4/depth/non-incremental/exchange", "319d09431d959e55", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/swap", "4bcae5629b2bf13e", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/exchange", "158897b5407c7644", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/non-incremental", "38f43569adc9cfd2", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/non-incremental/exchange", "c5606ecacfa06d8c", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/tb-block", "008afe9ce3d587a4", "18476a79b99b2efa"},
+    {"qft4/grid1x4/tb-block/exchange", "008afe9ce3d587a4", "18476a79b99b2efa"},
+    {"qft4/grid1x4/tb-swap", "3030bef6e81865dd", "cf5327f123981323"},
+    {"qft4/grid1x4/tb-swap/exchange", "3030bef6e81865dd", "cf5327f123981323"},
+    {"qft4/grid1x4/ladder", "5a1c56d9e5d26a99", "18476a79b99b2efa"},
+    {"queko4/grid2x3/depth", "3512a7785dd84ca9", "c81706728115cfcf"},
+    {"queko4/grid2x3/depth/exchange", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
+    {"queko4/grid2x3/depth/non-incremental", "3512a7785dd84ca9", "c81706728115cfcf"},
+    {"queko4/grid2x3/depth/non-incremental/exchange", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
+    {"queko4/grid2x3/swap", "fec7e7cca392bfd6", "d8896e8da2e45323"},
+    {"queko4/grid2x3/swap/exchange", "5af91108bf4dbcb5", "d8896e8da2e45323"},
+    {"queko4/grid2x3/swap/non-incremental", "fec7e7cca392bfd6", "d8896e8da2e45323"},
+    {"queko4/grid2x3/swap/non-incremental/exchange", "5af91108bf4dbcb5", "d8896e8da2e45323"},
+    {"queko4/grid2x3/tb-block", "ff5216c968a98711", "884fcc8a9a38a694"},
+    {"queko4/grid2x3/tb-block/exchange", "ff5216c968a98711", "884fcc8a9a38a694"},
+    {"queko4/grid2x3/tb-swap", "143cc26e6342a162", "05f700a1003edc03"},
+    {"queko4/grid2x3/tb-swap/exchange", "143cc26e6342a162", "05f700a1003edc03"},
+    {"queko4/grid2x3/ladder", "1f64842344c41c3a", "05f700a1003edc03"},
 };
 // clang-format on
 
@@ -122,21 +128,39 @@ std::string hex_digest(const std::string& record) {
   return buf;
 }
 
-/// "d,s,status;..." for every call, then the objective and Pareto points.
-std::string trace_record(const Result& r) {
+/// "d,s,status;..." for every call.
+std::string calls_record(const Result& r) {
   std::string record;
   for (const SolveCall& c : r.calls) {
     record += std::to_string(c.depth_bound) + ',' +
               std::to_string(c.swap_bound) + ',' + c.status + ';';
   }
-  record += "|solved=" + std::to_string(r.solved) +
-            "|depth=" + std::to_string(r.depth) +
-            "|swaps=" + std::to_string(r.swap_count) +
-            "|budget=" + std::to_string(r.hit_budget) + "|pareto=";
+  return record;
+}
+
+/// The objective and the Pareto points.
+std::string result_record(const Result& r) {
+  std::string record = "|solved=" + std::to_string(r.solved) +
+                       "|depth=" + std::to_string(r.depth) +
+                       "|swaps=" + std::to_string(r.swap_count) +
+                       "|budget=" + std::to_string(r.hit_budget) +
+                       "|pareto=";
   for (const auto& [d, s] : r.pareto) {
     record += std::to_string(d) + ':' + std::to_string(s) + ',';
   }
   return record;
+}
+
+struct Row {
+  std::string name;
+  std::string calls;   // digest of calls + result (+ ladder outcome)
+  std::string result;  // digest of the result suffix alone
+};
+
+/// `extra` is appended to the calls record only.
+Row make_row(std::string name, const Result& r, const std::string& extra = "") {
+  return {std::move(name), hex_digest(calls_record(r) + result_record(r) + extra),
+          hex_digest(result_record(r))};
 }
 
 /// The paper's running example (Fig. 2): Toffoli via the 15-gate
@@ -187,19 +211,18 @@ std::vector<Instance> instances() {
 
 using Engine = std::function<Result(const Problem&, const OptimizerOptions&)>;
 
-/// (name, digest) rows in computation order.
-using Table = std::vector<std::pair<std::string, std::string>>;
+/// Rows in computation order.
+using Table = std::vector<Row>;
 
 /// Runs `engine` once without sharing and once attached to a fresh
 /// exchange, appending one row each.
 void pin_engine(Table& table, const std::string& name, const Problem& problem,
                 const OptimizerOptions& options, const Engine& engine) {
-  table.emplace_back(name, hex_digest(trace_record(engine(problem, options))));
+  table.push_back(make_row(name, engine(problem, options)));
   sat::ClauseExchange exchange;
   OptimizerOptions shared = options;
   shared.exchange = &exchange;
-  table.emplace_back(name + "/exchange",
-                     hex_digest(trace_record(engine(problem, shared))));
+  table.push_back(make_row(name + "/exchange", engine(problem, shared)));
 }
 
 Table compute_table() {
@@ -239,39 +262,45 @@ Table compute_table() {
     subarch::SubarchOutcome outcome;
     const Result laddered =
         subarch::tb_synthesize_swap_optimal(problem, {}, {}, subopts, &outcome);
-    table.emplace_back(
-        n + "/ladder",
-        hex_digest(trace_record(laddered) +
-                   "|used=" + std::to_string(outcome.used) +
-                   "|rounds=" + std::to_string(outcome.rounds) +
-                   "|probes=" + std::to_string(outcome.probes) +
-                   "|why=" + outcome.fallback_reason));
+    table.push_back(make_row(n + "/ladder", laddered,
+                             "|used=" + std::to_string(outcome.used) +
+                                 "|rounds=" + std::to_string(outcome.rounds) +
+                                 "|probes=" + std::to_string(outcome.probes) +
+                                 "|why=" + outcome.fallback_reason));
   }
   return table;
 }
 
 TEST(SearchTraceGolden, TracesMatchThePinnedDigests) {
   const Table table = compute_table();
-  std::map<std::string, std::string> pinned;
-  for (const Pin& pin : kPins) pinned.emplace(pin.name, pin.digest);
+  std::map<std::string, const Pin*> pinned;
+  for (const Pin& pin : kPins) pinned.emplace(pin.name, &pin);
 
   bool all_match = table.size() == pinned.size();
-  for (const auto& [name, digest] : table) {
-    const auto it = pinned.find(name);
+  for (const Row& row : table) {
+    const auto it = pinned.find(row.name);
     if (it == pinned.end()) {
-      ADD_FAILURE() << name << ": no pinned digest";
+      ADD_FAILURE() << row.name << ": no pinned digest";
       all_match = false;
-    } else if (it->second != digest) {
-      ADD_FAILURE() << name << ": digest " << digest << ", pinned "
-                    << it->second;
+      continue;
+    }
+    if (it->second->calls != row.calls) {
+      ADD_FAILURE() << row.name << ": calls digest " << row.calls
+                    << ", pinned " << it->second->calls;
+      all_match = false;
+    }
+    if (it->second->result != row.result) {
+      ADD_FAILURE() << row.name << ": result digest " << row.result
+                    << ", pinned " << it->second->result;
       all_match = false;
     }
   }
   EXPECT_EQ(table.size(), pinned.size());
   if (!all_match) {
     std::string dump = "actual table:\n";
-    for (const auto& [name, digest] : table) {
-      dump += "    {\"" + name + "\", \"" + digest + "\"},\n";
+    for (const Row& row : table) {
+      dump += "    {\"" + row.name + "\", \"" + row.calls + "\", \"" +
+              row.result + "\"},\n";
     }
     std::fputs(dump.c_str(), stderr);
   }
