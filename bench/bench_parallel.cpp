@@ -1,8 +1,8 @@
-// Cooperative-portfolio scaling study: wall-clock for the bundled QASM
-// benchmarks when the portfolio runs 1, 2, and 4 cooperating strategies on
-// one shared clause/bound-fact exchange, plus the exchange traffic that
-// paid for it. Emits BENCH_parallel.json (see --out) so runs are
-// machine-comparable; `make bench_parallel_json` regenerates it.
+// Portfolio scaling study: wall-clock for the bundled QASM benchmarks when
+// the portfolio races 1, 2, and 4 strategies on one shared set of proven
+// bound facts, plus the facts recorded and the SAT calls they pruned.
+// Emits BENCH_parallel.json (see --out) so runs are machine-comparable;
+// `make bench_parallel_json` regenerates it.
 //
 // Usage: bench_parallel [--out=FILE] [--budget-ms=N] [--runs=N]
 //   --out        JSON output path (default BENCH_parallel.json)
@@ -43,7 +43,7 @@ struct Sample {
   bool solved = false;
   int depth = -1;
   int swap_count = -1;
-  sat::ClauseExchange::Traffic traffic;  // from the median run's race
+  layout::BoundFacts::Traffic traffic;  // from the last run's race
 };
 
 double median(std::vector<double> v) {
@@ -51,7 +51,7 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// First `count` cooperating strategies: cycle the default portfolio with
+/// First `count` strategies: cycle the default portfolio with
 /// distinct seeds when more entries are requested than it defines.
 std::vector<layout::PortfolioEntry> take_entries(layout::Objective objective,
                                                  int count, double budget_ms) {
@@ -93,8 +93,6 @@ void emit_json(const std::string& path, double budget_ms, int runs,
       }
       out << "],\"solved\":" << (sm.solved ? "true" : "false")
           << ",\"depth\":" << sm.depth << ",\"swap_count\":" << sm.swap_count
-          << ",\"clauses_published\":" << sm.traffic.published
-          << ",\"clauses_delivered\":" << sm.traffic.delivered
           << ",\"bound_facts\":" << sm.traffic.bound_facts
           << ",\"bound_pruned\":" << sm.traffic.bound_pruned << "}";
     }
@@ -136,7 +134,7 @@ int main(int argc, char** argv) {
 
   const std::vector<int> thread_counts = {1, 2, 4};
   bench::Table table(
-      {"benchmark", "entries", "median", "speedup", "shared", "pruned"});
+      {"benchmark", "entries", "median", "speedup", "facts", "pruned"});
 
   std::vector<std::vector<Sample>> samples(cases.size());
   for (std::size_t c = 0; c < cases.size(); ++c) {
@@ -165,7 +163,7 @@ int main(int argc, char** argv) {
           {cs.name, std::to_string(n),
            bench::fmt_ms(sm.median_ms, !sm.solved),
            sm.median_ms > 0 ? bench::fmt_ratio(base_ms / sm.median_ms) : "-",
-           std::to_string(sm.traffic.delivered),
+           std::to_string(sm.traffic.bound_facts),
            std::to_string(sm.traffic.bound_pruned)});
       samples[c].push_back(std::move(sm));
     }

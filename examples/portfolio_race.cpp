@@ -1,8 +1,8 @@
 // Portfolio synthesis (paper §V future work): race several encoding +
 // restart configurations on one problem across threads; the first complete
-// optimum cancels the rest. The strategies cooperate while they race,
-// trading learnt clauses and proven objective-bound facts through a shared
-// ClauseExchange (see DESIGN.md §8).
+// optimum cancels the rest. While they race, the strategies share proven
+// objective-bound facts, so one entry's UNSAT answer prunes the others'
+// bound searches (see DESIGN.md §8).
 //
 //   $ ./portfolio_race [num_qubits] [grid_side] [seed]
 #include <cstdlib>
@@ -53,10 +53,8 @@ int main(int argc, char** argv) {
               << r.wall_ms << " ms)\n";
   }
   const auto& t = result.traffic;
-  std::cout << "exchange: " << t.published << " clauses shared, "
-            << t.delivered << " delivered, " << t.bound_facts
-            << " bound facts, " << t.bound_pruned
-            << " SAT calls pruned\n";
+  std::cout << "bound facts: " << t.bound_facts << " recorded, "
+            << t.bound_pruned << " SAT calls pruned\n";
   const bool ok = layout::verify(problem, result.best).ok;
   std::cout << "verifier: " << (ok ? "OK" : "INVALID") << "\n";
   return ok ? 0 : 1;

@@ -2,9 +2,9 @@
 // contract layer (the static half is clang Thread Safety Analysis over the
 // annotated primitives in util/sync.h).
 //
-// Every sync::Mutex carries a *rank name* ("sat.exchange.hub",
-// "serve.cache", ...). While tracking is enabled, each acquisition that
-// happens with other contract locks held records a directed edge
+// Every sync::Mutex carries a *rank name* ("serve.cache",
+// "layout.bound_facts", ...). While tracking is enabled, each acquisition
+// that happens with other contract locks held records a directed edge
 // held-name -> acquired-name in a process-wide acquisition graph, together
 // with an example acquisition stack (the chain of held locks and the source
 // locations where each was taken). Before inserting an edge A -> B the
@@ -14,7 +14,7 @@
 // and the recorded example for every edge of the reverse path) is emitted.
 //
 // Orders are tracked by name, not by instance: two locks with the same name
-// form one rank, so acquiring "sat.exchange.hub" twice (two hubs nested)
+// form one rank, so acquiring "serve.cache" twice (two caches nested)
 // is itself reported as a self-cycle. This is the classic lock-hierarchy
 // discipline; the per-subsystem hierarchy table lives in DESIGN.md §11.
 //

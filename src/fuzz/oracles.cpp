@@ -189,7 +189,7 @@ OracleReport check_engine_differential(const Instance& instance) {
                 std::to_string(tb.swap_count) + " exceeds time-resolved " +
                 std::to_string(swap_opt.swap_count));
   }
-  // No exchange is attached, so every pruned call of either sweep comes
+  // No bound facts are attached, so every pruned call of either sweep comes
   // from the SWAP floor and must be UNSAT without it. A floor one too high
   // returns a SWAP count above the optimum that every check here would
   // otherwise accept (tb <= opt still holds).

@@ -74,8 +74,6 @@ std::string result_to_json(const Problem& problem, const Result& result) {
         << "\",\"conflicts\":" << call.conflicts
         << ",\"propagations\":" << call.propagations
         << ",\"decisions\":" << call.decisions
-        << ",\"imported\":" << call.imported
-        << ",\"exported\":" << call.exported
         << ",\"wall_ms\":" << call.wall_ms << "}";
   }
   out << "]}";

@@ -19,8 +19,9 @@ int next_relaxed_bound(int t_b, const OptimizerOptions& options) {
 }
 
 /// Build a Model wired for this optimizer run: restart policy, VSIDS seed,
-/// and (when sharing is on) the eager bound materialization +
-/// clause-exchange registration.
+/// then every bound literal materialized up front. The seed jitters only
+/// the variables that exist when it is set, so the bound literals' helper
+/// variables start with zero activity.
 std::unique_ptr<Model> make_configured_model(const Problem& problem, int t_ub,
                                              const EncodingConfig& config,
                                              const OptimizerOptions& options,
@@ -29,13 +30,7 @@ std::unique_ptr<Model> make_configured_model(const Problem& problem, int t_ub,
   sat::Solver& solver = model->solver();
   solver.set_restart_policy(options.restart_policy);
   solver.set_vsids_seed(options.seed);
-  if (options.exchange != nullptr) {
-    const std::string group = model->prepare_shared_bounds(with_swaps);
-    // Deterministic runs keep bound-fact sharing (it cannot change optima)
-    // but never adopt foreign clauses, whose arrival timing is
-    // scheduler-dependent.
-    if (!options.deterministic) solver.set_exchange(options.exchange, group);
-  }
+  model->materialize_bounds(with_swaps);
   return model;
 }
 
@@ -60,7 +55,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
   const circuit::DependencyGraph deps(*problem.circuit);
   const int t_lb = deps.longest_chain();
   int t_ub = deps.default_upper_bound();
-  const FactHub facts{options.exchange};
+  const FactHub facts{options.facts};
 
   DepthPhaseOutcome out;
   int t_b = t_lb;
@@ -166,14 +161,13 @@ Result synthesize_swap_optimal(const Problem& problem,
     }
     return *model;
   };
-  // The SWAP floor's probes solve the TB relaxation in models of their own,
-  // off the exchange: their variable numbering differs from this model's.
+  // The SWAP floor's probes solve the TB relaxation in models of their own.
   const FloorProbe floor_probe = [&](int swaps) {
     return tb_floor_probe(problem, swaps, config, deadline, diag);
   };
   Result best = sweep_swaps(SearchEngine::kTimeResolved, *model, model_at,
                             outcome.best, outcome.best.depth,
-                            FactHub{options.exchange}, floor_probe, deadline,
+                            FactHub{options.facts}, floor_probe, deadline,
                             diag);
   finish(best, diag, deadline);
   return best;

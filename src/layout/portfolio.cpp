@@ -22,7 +22,7 @@ std::vector<PortfolioEntry> default_portfolio(Objective objective,
     entry.options.restart_policy = policy;
     entry.name = config.label() + suffix;
     // Distinct VSIDS seeds decorrelate otherwise-identical search
-    // trajectories, which makes the clause exchange worth its traffic.
+    // trajectories.
     entry.options.seed = base.seed + entries.size() + 1;
     entries.push_back(std::move(entry));
   };
@@ -52,9 +52,8 @@ PortfolioResult synthesize_portfolio(const Problem& problem,
   obs::Span span("portfolio.run");
   span.arg("entries", static_cast<std::uint64_t>(entries.size()));
 
-  // One hub for the whole race: same-encoding strategies trade learnt
-  // clauses, and every strategy shares proven objective-bound facts.
-  sat::ClauseExchange exchange;
+  // One set of proven bound facts for the whole race.
+  BoundFacts facts;
   std::atomic<bool> cancel{false};
 
   // Reconciliation state the racing workers write into; guarded by an
@@ -72,7 +71,7 @@ PortfolioResult synthesize_portfolio(const Problem& problem,
   auto worker = [&](std::size_t index) {
     PortfolioEntry& entry = entries[index];
     entry.options.cancel = &cancel;
-    entry.options.exchange = &exchange;
+    entry.options.facts = &facts;
     // Each strategy runs on its own thread = its own track in the exported
     // timeline; name the track after the configuration so races read well.
     obs::Trace::instance().set_thread_name("portfolio:" + entry.name);
@@ -146,11 +145,9 @@ PortfolioResult synthesize_portfolio(const Problem& problem,
     }
   }
 
-  result.traffic = exchange.traffic();
+  result.traffic = facts.traffic();
   if (span.live()) {
     span.arg("winner", result.winner);
-    span.arg("clauses_published", result.traffic.published);
-    span.arg("clauses_delivered", result.traffic.delivered);
     span.arg("bound_facts", result.traffic.bound_facts);
     span.arg("bound_pruned", result.traffic.bound_pruned);
   }

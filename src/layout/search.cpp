@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "sat/exchange.h"
 
 namespace olsq2::layout {
 
@@ -99,23 +98,90 @@ void Deadline::arm(sat::Solver& solver) const {
   solver.set_external_interrupt(cancel_);
 }
 
+void BoundFacts::begin_problem(const std::string& key) {
+  sync::MutexLock lock(mutex_);
+  if (problem_key_ == key) return;
+  problem_key_ = key;
+  depth_unsat_max_.store(-1, std::memory_order_release);
+  depth_sat_min_.store(std::numeric_limits<int>::max(),
+                       std::memory_order_release);
+  swap_unsat_.clear();
+}
+
+void BoundFacts::note_depth_unsat(int depth) {
+  int cur = depth_unsat_max_.load(std::memory_order_relaxed);
+  while (depth > cur) {
+    if (depth_unsat_max_.compare_exchange_weak(cur, depth,
+                                               std::memory_order_acq_rel)) {
+      bound_facts_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  }
+}
+
+void BoundFacts::note_depth_sat(int depth) {
+  int cur = depth_sat_min_.load(std::memory_order_relaxed);
+  while (depth < cur) {
+    if (depth_sat_min_.compare_exchange_weak(cur, depth,
+                                             std::memory_order_acq_rel)) {
+      bound_facts_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  }
+}
+
+void BoundFacts::note_swap_unsat(int depth, int swaps) {
+  sync::MutexLock lock(mutex_);
+  // (d, k) refutes every (d' <= d, k' <= k), so a fact with both
+  // coordinates <= another's adds nothing.
+  for (const auto& [d, k] : swap_unsat_) {
+    if (d >= depth && k >= swaps) return;
+  }
+  std::erase_if(swap_unsat_, [&](const std::pair<int, int>& f) {
+    return f.first <= depth && f.second <= swaps;
+  });
+  swap_unsat_.emplace_back(depth, swaps);
+  bound_facts_.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool BoundFacts::swap_known_unsat(int depth, int swaps) const {
+  sync::MutexLock lock(mutex_);
+  for (const auto& [d, k] : swap_unsat_) {
+    if (d >= depth && k >= swaps) return true;
+  }
+  return false;
+}
+
+std::vector<std::pair<int, int>> BoundFacts::swap_facts() const {
+  sync::MutexLock lock(mutex_);
+  return swap_unsat_;
+}
+
+BoundFacts::Traffic BoundFacts::traffic() const {
+  return {bound_facts_.load(std::memory_order_relaxed),
+          bound_pruned_.load(std::memory_order_relaxed)};
+}
+
 int FactHub::depth_unsat_max() const {
-  return ex ? ex->depth_unsat_max() : -1;
+  return facts ? facts->depth_unsat_max() : -1;
 }
 int FactHub::depth_sat_min() const {
-  return ex ? ex->depth_sat_min() : std::numeric_limits<int>::max();
+  return facts ? facts->depth_sat_min() : std::numeric_limits<int>::max();
 }
 void FactHub::note_depth_unsat(int d) const {
-  if (ex) ex->note_depth_unsat(d);
+  if (facts) facts->note_depth_unsat(d);
 }
 void FactHub::note_depth_sat(int d) const {
-  if (ex) ex->note_depth_sat(d);
+  if (facts) facts->note_depth_sat(d);
 }
 void FactHub::note_swap_unsat(int d, int k) const {
-  if (ex) ex->note_swap_unsat(d, k);
+  if (facts) facts->note_swap_unsat(d, k);
 }
 bool FactHub::swap_known_unsat(int d, int k) const {
-  return ex && ex->swap_known_unsat(d, k);
+  return facts && facts->swap_known_unsat(d, k);
+}
+void FactHub::note_pruned_call() const {
+  if (facts) facts->note_pruned_call();
 }
 
 sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
@@ -138,8 +204,6 @@ sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
   call.conflicts = delta.conflicts;
   call.propagations = delta.propagations;
   call.decisions = delta.decisions;
-  call.imported = delta.imported_clauses;
-  call.exported = delta.exported_clauses;
   call.wall_ms = deadline.elapsed_ms() - start_ms;
   if (span.live()) {
     span.arg(n.bound_key, bound);
@@ -150,10 +214,6 @@ sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
     span.arg("conflicts", delta.conflicts);
     span.arg("propagations", delta.propagations);
     span.arg("wall_ms", call.wall_ms);
-    if (call.imported != 0 || call.exported != 0) {
-      span.arg("imported", call.imported);
-      span.arg("exported", call.exported);
-    }
   }
 
   diag.sat_calls++;
@@ -185,7 +245,7 @@ void record_pruned(Result& diag, int bound, int swap_bound,
   call.status = 'P';
   diag.calls.push_back(call);
   const bool by_peer = reason == PruneReason::kPeer;
-  if (by_peer && facts.ex) facts.ex->note_pruned_call();
+  if (by_peer) facts.note_pruned_call();
   if (obs::Trace::instance().enabled()) {
     obs::instant("olsq2.bound_pruned",
                  {{"reason", by_peer ? "peer" : "swap_floor", /*quoted=*/true}});

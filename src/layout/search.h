@@ -1,6 +1,7 @@
 // The bound-search driver shared by the OLSQ2 and TB engines (DESIGN.md
-// §8.1): the deadline, the SAT-call emitter that fills every SolveCall, the
-// 2-D Pareto SWAP sweep (paper §III-B2) with its SWAP floor, and the
+// §8.1): the deadline, the proven bound facts shared between searches of
+// one problem, the SAT-call emitter that fills every SolveCall, the 2-D
+// Pareto SWAP sweep (paper §III-B2) with its SWAP floor, and the
 // diagnostics merge. Each engine keeps its own horizon walk - depth
 // relax-then-decrement for OLSQ2, a +1 block walk for TB - because those
 // differ in real ways.
@@ -8,10 +9,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "layout/types.h"
+#include "util/sync.h"
 
 namespace olsq2::layout {
 
@@ -44,10 +50,78 @@ class Deadline {
 /// tb.solve / block_bound / transition-based.
 enum class SearchEngine { kTimeResolved, kTransitionBased };
 
-/// Nullable view over the shared objective-bound registry; every accessor
-/// degrades to "no facts known" when no exchange is attached.
+/// Proven objective-bound facts about one problem, shared by every search
+/// of it: the entries of a portfolio race, or serve's engine variants of
+/// one instance. The facts are statements about the problem, not about any
+/// CNF, so they hold across encodings. Depth bounds are monotone (paper
+/// §III-B1): UNSAT at depth d implies UNSAT at every d' <= d. A SWAP fact
+/// carries the depth bound it was proved under: "no solution with depth
+/// <= d and swaps <= k" refutes every query at (d' <= d, k' <= k).
+///
+/// Thread-safe. The depth cells and counters are single atomic words; the
+/// SWAP set and the problem key sit behind one leaf mutex
+/// ("layout.bound_facts", DESIGN.md §11).
+class BoundFacts {
+ public:
+  BoundFacts() = default;
+  BoundFacts(const BoundFacts&) = delete;
+  BoundFacts& operator=(const BoundFacts&) = delete;
+
+  /// Declare the problem the facts are about to describe. A key that
+  /// differs from the current one drops every fact: a depth-UNSAT fact of
+  /// instance A would wrongly prune instance B's search and corrupt its
+  /// reported optimum. Same-key calls are no-ops. Single-problem users
+  /// (the portfolio, a standalone run) never need to call this.
+  void begin_problem(const std::string& key) OLSQ2_EXCLUDES(mutex_);
+
+  /// Record a proof that no solution has depth <= `depth`.
+  void note_depth_unsat(int depth);
+  /// Record that a solution with depth `depth` exists.
+  void note_depth_sat(int depth);
+  /// Largest depth proven UNSAT (-1 when none).
+  int depth_unsat_max() const {
+    return depth_unsat_max_.load(std::memory_order_acquire);
+  }
+  /// Smallest depth known SAT (INT_MAX when none).
+  int depth_sat_min() const {
+    return depth_sat_min_.load(std::memory_order_acquire);
+  }
+
+  /// Record a proof that no solution has depth <= `depth` and SWAP count
+  /// <= `swaps`. Only non-dominated facts are kept.
+  void note_swap_unsat(int depth, int swaps) OLSQ2_EXCLUDES(mutex_);
+  /// True when a recorded fact refutes (depth <= `depth`, swaps <= `swaps`).
+  bool swap_known_unsat(int depth, int swaps) const OLSQ2_EXCLUDES(mutex_);
+  /// Snapshot of the non-dominated (depth, swaps) facts, in no set order.
+  std::vector<std::pair<int, int>> swap_facts() const OLSQ2_EXCLUDES(mutex_);
+
+  /// A search skipped a SAT call because a fact already decided it.
+  void note_pruned_call() {
+    bound_pruned_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  struct Traffic {
+    std::uint64_t bound_facts = 0;   // facts recorded
+    std::uint64_t bound_pruned = 0;  // SAT calls skipped thanks to a fact
+  };
+  Traffic traffic() const;
+
+ private:
+  std::atomic<int> depth_unsat_max_{-1};
+  std::atomic<int> depth_sat_min_{std::numeric_limits<int>::max()};
+  std::atomic<std::uint64_t> bound_facts_{0};
+  std::atomic<std::uint64_t> bound_pruned_{0};
+
+  mutable sync::Mutex mutex_{"layout.bound_facts"};
+  std::string problem_key_ OLSQ2_GUARDED_BY(mutex_);
+  /// Non-dominated (depth, swaps) UNSAT facts.
+  std::vector<std::pair<int, int>> swap_unsat_ OLSQ2_GUARDED_BY(mutex_);
+};
+
+/// Nullable view over a BoundFacts; every accessor degrades to "no facts
+/// known" when none is attached.
 struct FactHub {
-  sat::ClauseExchange* ex = nullptr;
+  BoundFacts* facts = nullptr;
 
   int depth_unsat_max() const;
   int depth_sat_min() const;
@@ -55,6 +129,7 @@ struct FactHub {
   void note_depth_sat(int d) const;
   void note_swap_unsat(int d, int k) const;
   bool swap_known_unsat(int d, int k) const;
+  void note_pruned_call() const;
 };
 
 /// One SAT call under `assumptions`, armed by `deadline`: a trace span, a

@@ -13,6 +13,8 @@
 
 namespace olsq2::layout {
 
+class BoundFacts;
+
 /// One layout synthesis instance.
 struct Problem {
   const circuit::Circuit* circuit = nullptr;
@@ -42,8 +44,6 @@ struct SolveCall {
   std::uint64_t conflicts = 0;     // conflicts delta for this call
   std::uint64_t propagations = 0;  // propagations delta for this call
   std::uint64_t decisions = 0;     // decisions delta for this call
-  std::uint64_t imported = 0;      // clauses adopted from the exchange
-  std::uint64_t exported = 0;      // clauses shared with the exchange
   double wall_ms = 0.0;
 };
 
@@ -123,16 +123,11 @@ struct OptimizerOptions {
   /// VSIDS tie-breaking jitter seed (0 = none). Distinct seeds diversify
   /// portfolio entries; a fixed seed reproduces a run exactly.
   std::uint64_t seed = 0;
-  /// Reproducibility mode: the solver never adopts foreign clauses (their
-  /// arrival timing is scheduler-dependent), removing run-to-run
-  /// nondeterminism in the search. Bound facts still flow - they can only
-  /// skip SAT calls whose answer is already proven, never change optima.
-  bool deterministic = false;
-  /// Cooperative sharing hub (learnt clauses + objective-bound facts)
-  /// connecting the strategies of a portfolio race. Owned by the caller;
-  /// nullptr = no sharing. synthesize_portfolio installs one
-  /// automatically.
-  sat::ClauseExchange* exchange = nullptr;
+  /// Proven objective-bound facts shared with other searches of the same
+  /// problem (portfolio entries, serve's engine variants of one instance).
+  /// Owned by the caller; nullptr = none. synthesize_portfolio installs
+  /// one automatically.
+  BoundFacts* facts = nullptr;
 };
 
 }  // namespace olsq2::layout

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -318,18 +317,6 @@ std::size_t peak_rss_bytes() {
 #else
   return 0;
 #endif
-}
-
-std::string short_hash(std::string_view s) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x",
-                static_cast<unsigned>(h ^ (h >> 32)));
-  return buf;
 }
 
 }  // namespace olsq2::obs::metrics

@@ -210,8 +210,4 @@ class Registry {
 /// the bench emitters' schema stamp and the exporters.
 std::size_t peak_rss_bytes();
 
-/// 8-hex-char FNV-1a digest — bounded-cardinality label values for
-/// unbounded strings (exchange group fingerprints, cache keys).
-std::string short_hash(std::string_view s);
-
 }  // namespace olsq2::obs::metrics

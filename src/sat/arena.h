@@ -17,8 +17,8 @@
 // garbage collection. The GC protocol (Solver::garbage_collect) copies
 // every live clause into a fresh arena via reloc(), which installs a
 // forwarding reference in the old header so the multiple owners of one
-// clause (two watchers, a reason slot, tier lists, pending-export refs)
-// all land on the same copy.
+// clause (two watchers, a reason slot, tier lists) all land on the same
+// copy.
 //
 // Thread-compatibility: an arena belongs to exactly one solver and is
 // confined to its solving thread; no atomics, no locks (DESIGN.md §12).

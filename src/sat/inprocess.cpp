@@ -111,8 +111,6 @@ bool Solver::inprocess() {
   if (!ok_) return false;
   obs::Span span("sat.inprocess");
   cancel_until(0);
-  // Pending export spans would dangle across rewrites; hand them off first.
-  flush_pending_exports();
   if (propagate() != kCRefUndef) {
     ok_ = false;
     if (proof_ != nullptr) proof_->add({});

@@ -287,12 +287,9 @@ void Solver::audit_invariants(const char* where) const {
   if (!check_invariants_enabled_) return;
   // The audit walks every watch list, the trail, and all reason clauses -
   // a long, allocation-heavy traversal of this thread's solver. Contract:
-  // it runs with no concurrency-contract locks held. In particular it must
-  // never run under the exchange hub lock; ClauseExchange::collect copies
-  // shared clauses out *before* invoking the import callback precisely so
-  // the post-import audit (and the unit propagation before it) is
-  // lock-free. The lock-order tracker enforces this in debug runs; see
-  // DESIGN.md §11 for the hierarchy.
+  // it runs with no concurrency-contract locks held, so its cost never
+  // extends another thread's wait. The lock-order tracker enforces this in
+  // debug runs; see DESIGN.md §11 for the hierarchy.
   if (analysis::concurrency::enabled() &&
       analysis::concurrency::held_count() != 0) {
     throw std::logic_error(

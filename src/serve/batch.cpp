@@ -216,7 +216,7 @@ std::vector<Response> Server::serve_batch(
   // or configs run back-to-back; begin_problem() fences bound facts at
   // instance boundaries (and at the TB/time-resolved semantic boundary -
   // TB "depth" counts blocks, so TB facts must not prune a time-resolved
-  // search). The whole solve phase is one critical section: the hub's
+  // search). The whole solve phase is one critical section: the facts'
   // fencing protocol is stateful, so a second concurrent batch must not
   // re-fence mid-sequence.
   sync::MutexLock solve_lock(solve_mutex_);
@@ -239,10 +239,10 @@ std::vector<Response> Server::serve_batch(
     const layout::Problem canonical{&canon_circ, &canon_dev,
                                     req.swap_duration};
 
-    exchange_.begin_problem(item.instance_key +
-                            (transition_based(req.engine) ? "|tb" : "|tr"));
+    facts_.begin_problem(item.instance_key +
+                         (transition_based(req.engine) ? "|tb" : "|tr"));
     layout::OptimizerOptions options = req.options;
-    options.exchange = &exchange_;
+    options.facts = &facts_;
 
     subarch::SubarchOptions subarch_options = options_.subarch;
     subarch_options.library = &subarch_library_;

@@ -1,8 +1,8 @@
 // Batch request serving with canonicalization-keyed result caching.
 //
-// A Server owns a two-tier ResultCache (serve/cache.h) and a shared
-// ClauseExchange hub. Each request is canonicalized (serve/canonical.h);
-// the cache key is
+// A Server owns a two-tier ResultCache (serve/cache.h) and one set of
+// proven bound facts (layout::BoundFacts). Each request is canonicalized
+// (serve/canonical.h); the cache key is
 //
 //   <canonical circuit>|<canonical device>|S<swap_duration>|<engine>|<config>
 //
@@ -16,26 +16,26 @@
 // serve_batch() answers what it can from cache, deduplicates the residual
 // work by key (the first request with a key pays the solve; later ones are
 // cross-request hits), and orders the solves by key so requests on the
-// same instance run back-to-back on a warm exchange hub: proven
-// objective-bound facts carry across engine/config variants of one
-// instance (sound - they are statements about the problem), while
-// ClauseExchange::begin_problem fences them off between different
-// instances. Solving happens in canonical space; every response is
-// un-relabeled through the request's own witness (serve/transfer.h).
+// same instance run back-to-back: proven objective-bound facts carry
+// across engine/config variants of one instance (sound - they are
+// statements about the problem), while BoundFacts::begin_problem fences
+// them off between different instances. Solving happens in canonical
+// space; every response is un-relabeled through the request's own witness
+// (serve/transfer.h).
 // Concurrency: a Server may be shared by concurrent callers. The cache is
 // internally thread-safe (serve/cache.h); the solve phase is serialized by
-// the annotated "serve.batch.solve" mutex because the exchange hub's
+// the annotated "serve.batch.solve" mutex because the bound facts'
 // begin_problem() fencing protocol is stateful - two interleaved batches
-// would re-fence each other's bound facts mid-solve. Lock hierarchy
-// (DESIGN.md §11): serve.batch.solve -> sat.exchange.hub -> ... and
-// serve.batch.solve -> serve.cache.
+// would re-fence each other's facts mid-solve. Lock hierarchy (DESIGN.md
+// §11): serve.batch.solve -> layout.bound_facts and serve.batch.solve ->
+// serve.cache.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "layout/search.h"
 #include "layout/types.h"
-#include "sat/exchange.h"
 #include "serve/cache.h"
 #include "serve/canonical.h"
 #include "subarch/solve.h"
@@ -57,8 +57,8 @@ struct Request {
   int swap_duration = 1;
   Engine engine = Engine::kSwap;
   layout::EncodingConfig config;
-  /// Per-request optimizer options; the `exchange` field is overwritten by
-  /// the server with its own hub.
+  /// Per-request optimizer options; the `facts` field is overwritten by the
+  /// server with its own.
   layout::OptimizerOptions options;
   /// Additionally produce (and cache) an optimality certificate: a DRAT-
   /// checked UNSAT proof at the next-tighter bound (layout/certify.h).
@@ -111,7 +111,7 @@ class Server {
   Response serve(const Request& request) OLSQ2_EXCLUDES(solve_mutex_);
 
   /// Serve a batch: cache hits answered first, residual work deduplicated
-  /// and solved in key order on the shared exchange hub. Responses are in
+  /// and solved in key order on the shared bound facts. Responses are in
   /// request order. Thread-safe; concurrent batches interleave at the
   /// lookup phase and serialize on the solve phase (see header comment).
   std::vector<Response> serve_batch(const std::vector<Request>& requests)
@@ -121,19 +121,15 @@ class Server {
   /// The server's subarchitecture probe library (shared across requests,
   /// engines, and batches; isomorphic subdevices collide by design).
   subarch::Library& subarch_library() { return subarch_library_; }
-  /// The shared hub. Internally thread-safe, but its begin_problem()
-  /// fencing is coordinated by solve_mutex_ - do not fence externally
-  /// while batches are in flight.
-  sat::ClauseExchange& exchange() { return exchange_; }
 
  private:
   ServerOptions options_;
   ResultCache cache_;
   subarch::Library subarch_library_;
-  /// Serializes the residual-solve phase: exchange_ fencing + solve +
-  /// cache insert run as one critical section per batch.
+  /// Serializes the residual-solve phase: facts_ fencing + solve + cache
+  /// insert run as one critical section per batch.
   sync::Mutex solve_mutex_{"serve.batch.solve"};
-  sat::ClauseExchange exchange_;
+  layout::BoundFacts facts_;
 };
 
 }  // namespace olsq2::serve

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sat/drat_check.h"
-#include "sat/exchange.h"
 #include "sat/proof.h"
 #include "sat/solver.h"
 
@@ -212,32 +211,38 @@ TEST(InprocessTest, DisabledBySetterMeansNoRounds) {
 }
 
 TEST(InprocessTest, LearntSubsumerOfOriginalIsPromoted) {
-  // A learnt clause (implanted through the exchange with a high LBD, so it
-  // lands in the evictable local tier) subsumes an original outright. The
-  // subsumer must be promoted to irredundant when the original is deleted:
-  // were it left learnt, a later reduce_db() could evict it and the solver
-  // could return models violating the deleted original.
-  ClauseExchange::Options opts;
-  opts.max_lbd = 10;
-  ClauseExchange hub(opts);
-  const int feeder = hub.add_solver("g");
+  // A learnt clause with a high LBD, so it lands in the evictable local
+  // tier, subsumes an original outright. The subsumer must be promoted to
+  // irredundant when the original is deleted: were it left learnt, a later
+  // reduce_db() could evict it and the solver could return models violating
+  // the deleted original.
+  //
+  // The solver learns it itself: assuming ~x0..~x7 puts each literal on
+  // its own decision level, the wide clause then propagates x8, x8 -> y
+  // and y -> x7 conflict, and analysis resolves the chain back to
+  // sub = (x0 | ... | x7), whose eight literals span eight levels (LBD 8).
+  // The detour through y keeps self-subsuming resolution from shortening
+  // the wide clause with the chain before subsumption sees the learnt.
   Solver solver;
   solver.set_clause_log(true);
-  solver.set_exchange(&hub, "g");
-  for (int i = 0; i < 9; ++i) solver.new_var();
+  for (int i = 0; i < 10; ++i) solver.new_var();
   std::vector<Lit> wide;
   for (int i = 0; i < 9; ++i) wide.push_back(pos(i));
   solver.add_clause(wide);
+  solver.add_clause({neg(8), pos(9)});
+  solver.add_clause({neg(9), pos(7)});
   const std::vector<Lit> sub(wide.begin(), wide.end() - 1);
-  ASSERT_TRUE(hub.publish(feeder, sub, /*lbd=*/8));
+  std::vector<Lit> assumptions;
+  for (const Lit l : sub) assumptions.push_back(~l);
 
-  ASSERT_EQ(solver.solve(), LBool::kTrue);  // imports the learnt at entry
+  ASSERT_EQ(solver.solve(assumptions), LBool::kFalse);
+  ASSERT_EQ(solver.num_learnts(), 1);
   ASSERT_EQ(solver.learnt_tiers().local, 1u);
 
   ASSERT_TRUE(solver.inprocess());
   EXPECT_GE(solver.stats().inprocess_removed_clauses, 1u);
   // The subsumer replaced the original: it is irredundant now, not learnt.
-  EXPECT_EQ(solver.num_clauses(), 1);
+  EXPECT_EQ(solver.num_clauses(), 3);
   EXPECT_EQ(solver.num_learnts(), 0);
   std::vector<std::string> errors;
   EXPECT_TRUE(solver.check_invariants(&errors))

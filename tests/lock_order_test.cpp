@@ -178,15 +178,21 @@ TEST_F(LockOrderTest, SharedMutexParticipates) {
 TEST_F(LockOrderTest, ContractLocksComposeAcrossRealSubsystems) {
   // The production ranks must still be acyclic when exercised in the
   // documented hierarchy order (DESIGN.md §11): serve.batch.solve ->
-  // sat.exchange.hub -> obs.metrics.registry. Reproduced here with
-  // same-named test mutexes; the real wiring is covered end-to-end by the
-  // serve/portfolio suites running under OLSQ2_LOCK_ORDER in CI.
+  // layout.bound_facts, and serve.batch.solve -> serve.cache ->
+  // obs.metrics.registry. Reproduced here with same-named test mutexes; the
+  // real wiring is covered end-to-end by the serve/portfolio suites running
+  // under OLSQ2_LOCK_ORDER in CI.
   Mutex solve("serve.batch.solve");
-  Mutex hub("sat.exchange.hub");
+  Mutex facts("layout.bound_facts");
+  Mutex cache("serve.cache");
   Mutex registry("obs.metrics.registry");
   {
     MutexLock l1(solve);
-    MutexLock l2(hub);
+    MutexLock l2(facts);
+  }
+  {
+    MutexLock l1(solve);
+    MutexLock l2(cache);
     MutexLock l3(registry);
   }
   {

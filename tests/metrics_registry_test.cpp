@@ -157,14 +157,5 @@ TEST_F(MetricsRegistryTest, ResetAllKeepsHandlesValid) {
   EXPECT_EQ(c.value(), 2u);
 }
 
-TEST_F(MetricsRegistryTest, ShortHashIsStableAndBounded) {
-  const std::string h1 = short_hash("group-key-a");
-  const std::string h2 = short_hash("group-key-a");
-  const std::string h3 = short_hash("group-key-b");
-  EXPECT_EQ(h1, h2);
-  EXPECT_NE(h1, h3);
-  EXPECT_EQ(h1.size(), 8u);
-}
-
 }  // namespace
 }  // namespace olsq2::obs::metrics

@@ -1,7 +1,10 @@
-// Tests for portfolio (parallel) synthesis: the cooperative race with
-// clause/bound-fact sharing, deterministic mode, and speculative parallel
-// bound search.
+// Tests for portfolio (parallel) synthesis: the race with shared bound
+// facts, its optima against the sequential optimizer, and reproducible
+// optima across repeated races.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
 
 #include "bengen/workloads.h"
 #include "device/presets.h"
@@ -95,11 +98,20 @@ TEST(Portfolio, RecordsPerEntryWallClockAndTraffic) {
   for (const Result& entry : r.all) EXPECT_GT(entry.wall_ms, 0.0);
   // Every strategy publishes at least its first SAT/UNSAT depth bound.
   EXPECT_GT(r.traffic.bound_facts, 0u);
+  // Each call a peer's fact pruned is a 'P' record of some entry (the
+  // SWAP floor adds 'P' records of its own).
+  std::uint64_t pruned_records = 0;
+  for (const Result& entry : r.all) {
+    pruned_records += static_cast<std::uint64_t>(std::count_if(
+        entry.calls.begin(), entry.calls.end(),
+        [](const SolveCall& call) { return call.status == 'P'; }));
+  }
+  EXPECT_LE(r.traffic.bound_pruned, pruned_records);
 }
 
-// Differential: the cooperating portfolio must land on exactly the optima
-// the sequential optimizer proves, on real QASM inputs (clause import and
-// bound-fact pruning must never change answers).
+// Differential: the portfolio must land on exactly the optima the
+// sequential optimizer proves, on real QASM inputs (bound-fact pruning must
+// never change answers).
 TEST(Portfolio, SharingMatchesSequentialOnQasmCorpusDepth) {
   const auto c = qasm::parse_file(corpus("toffoli_qx2.qasm"));
   const auto dev = device::ibm_qx2();
@@ -126,15 +138,13 @@ TEST(Portfolio, SharingMatchesSequentialOnQasmCorpusSwap) {
   EXPECT_TRUE(verify(problem, portfolio.best).ok);
 }
 
-// Deterministic mode: clause import is disabled (its timing depends on the
-// scheduler) but bound-fact sharing stays on; optima are identical across
-// repeated runs.
-TEST(Portfolio, DeterministicModeReproducesOptima) {
+// Which entry wins, and which calls peers' facts prune, depends on the
+// scheduler; the optimum must not.
+TEST(Portfolio, RepeatedRacesReproduceOptima) {
   const auto c = bengen::qaoa_3regular(6, 3);
   const auto dev = device::grid(2, 3);
   const Problem problem{&c, &dev, 1};
   OptimizerOptions base;
-  base.deterministic = true;
   base.seed = 7;
   int depth = -1;
   for (int run = 0; run < 3; ++run) {

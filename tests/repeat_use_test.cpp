@@ -5,11 +5,12 @@
 //   layout::Model            - repeated bound requests must be cached (no
 //     new solver variables) and repeated solves under the same assumptions
 //     must reproduce the same verdict and objectives.
-//   sat::ClauseExchange      - begin_problem() must fence bound facts and
-//     clause traffic between batch items; a stale depth-UNSAT fact from
-//     problem A silently corrupts problem B's reported optimum otherwise.
+//   layout::BoundFacts       - begin_problem() must fence bound facts
+//     between batch items; a stale depth-UNSAT fact from problem A silently
+//     corrupts problem B's reported optimum otherwise.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,7 @@
 #include "device/presets.h"
 #include "layout/model.h"
 #include "layout/olsq2.h"
-#include "sat/exchange.h"
+#include "layout/search.h"
 #include "sat/types.h"
 
 namespace olsq2 {
@@ -66,60 +67,34 @@ TEST(ModelReuse, BoundRequestsAreIdempotentAndSolvesDeterministic) {
   EXPECT_EQ(model.solver().num_vars(), vars_after_first);
 }
 
-TEST(ExchangeReuse, BeginProblemClearsFactsAndSameKeyIsANoOp) {
-  sat::ClauseExchange hub;
-  hub.begin_problem("instance-A");
-  hub.note_depth_unsat(7);
-  hub.note_depth_sat(12);
-  hub.note_swap_unsat(12, 2);
-  ASSERT_EQ(hub.depth_unsat_max(), 7);
-  ASSERT_TRUE(hub.swap_known_unsat(12, 2));
+TEST(BoundFactsReuse, BeginProblemClearsFactsAndSameKeyIsANoOp) {
+  layout::BoundFacts facts;
+  facts.begin_problem("instance-A");
+  facts.note_depth_unsat(7);
+  facts.note_depth_sat(12);
+  facts.note_swap_unsat(12, 2);
+  ASSERT_EQ(facts.depth_unsat_max(), 7);
+  ASSERT_TRUE(facts.swap_known_unsat(12, 2));
 
   // Re-declaring the same problem must keep the facts (batch groups call
   // begin_problem once per engine run on the same instance).
-  hub.begin_problem("instance-A");
-  EXPECT_EQ(hub.depth_unsat_max(), 7);
-  EXPECT_EQ(hub.depth_sat_min(), 12);
-  EXPECT_TRUE(hub.swap_known_unsat(12, 2));
+  facts.begin_problem("instance-A");
+  EXPECT_EQ(facts.depth_unsat_max(), 7);
+  EXPECT_EQ(facts.depth_sat_min(), 12);
+  EXPECT_TRUE(facts.swap_known_unsat(12, 2));
 
   // Switching problems drops every fact.
-  hub.begin_problem("instance-B");
-  EXPECT_EQ(hub.depth_unsat_max(), -1);
-  EXPECT_EQ(hub.depth_sat_min(), std::numeric_limits<int>::max());
-  EXPECT_FALSE(hub.swap_known_unsat(12, 2));
+  facts.begin_problem("instance-B");
+  EXPECT_EQ(facts.depth_unsat_max(), -1);
+  EXPECT_EQ(facts.depth_sat_min(), std::numeric_limits<int>::max());
+  EXPECT_FALSE(facts.swap_known_unsat(12, 2));
 }
 
-TEST(ExchangeReuse, GroupsAreNamespacedPerProblem) {
-  sat::ClauseExchange hub;
-  hub.begin_problem("instance-A");
-  const int s1 = hub.add_solver("cfg");
-  hub.begin_problem("instance-B");
-  // Same group string, different problem: must land in a distinct group.
-  const int s2 = hub.add_solver("cfg");
-  const int s3 = hub.add_solver("cfg");
-
-  // s1 (problem A's group) publishes after the switch; only B's members
-  // may exchange with each other, and neither may hear from s1.
-  const std::vector<Lit> unit{Lit::pos(0)};
-  ASSERT_TRUE(hub.publish(s1, unit, 1));
-  std::size_t delivered_to_b = 0;
-  delivered_to_b += hub.collect(s2, [](auto, unsigned) {});
-  delivered_to_b += hub.collect(s3, [](auto, unsigned) {});
-  EXPECT_EQ(delivered_to_b, 0u);
-
-  const std::vector<Lit> binary{Lit::pos(1), Lit::neg(2)};
-  ASSERT_TRUE(hub.publish(s2, binary, 2));
-  std::size_t got = 0;
-  got += hub.collect(s3, [](auto, unsigned) {});
-  EXPECT_EQ(got, 1u);
-  EXPECT_EQ(hub.collect(s1, [](auto, unsigned) {}), 0u);
-}
-
-// End-to-end fence check: a hub poisoned with a stale depth-UNSAT fact from
+// End-to-end fence check: facts poisoned with a stale depth-UNSAT fact from
 // a previous problem must not inflate the next problem's reported optimum
 // once begin_problem() declares the switch. This is exactly the reuse
 // pattern of serve::Server::serve_batch.
-TEST(ExchangeReuse, StaleFactsCannotCorruptTheNextProblemsOptimum) {
+TEST(BoundFactsReuse, StaleFactsCannotCorruptTheNextProblemsOptimum) {
   const auto circ = triangle();
   const auto dev = device::grid(1, 3);
   const layout::Problem problem{&circ, &dev, 1};
@@ -127,21 +102,21 @@ TEST(ExchangeReuse, StaleFactsCannotCorruptTheNextProblemsOptimum) {
   const layout::Result baseline = synthesize_depth_optimal(problem);
   ASSERT_TRUE(baseline.solved);
 
-  sat::ClauseExchange hub;
-  hub.begin_problem("some-other-instance");
-  hub.note_depth_unsat(baseline.depth + 3);  // true for A, poison for B
-  ASSERT_GT(hub.depth_unsat_max(), baseline.depth);
+  layout::BoundFacts facts;
+  facts.begin_problem("some-other-instance");
+  facts.note_depth_unsat(baseline.depth + 3);  // true for A, poison for B
+  ASSERT_GT(facts.depth_unsat_max(), baseline.depth);
 
-  hub.begin_problem("triangle-on-line");
+  facts.begin_problem("triangle-on-line");
   layout::OptimizerOptions options;
-  options.exchange = &hub;
+  options.facts = &facts;
   const layout::Result fenced =
       synthesize_depth_optimal(problem, layout::EncodingConfig{}, options);
   ASSERT_TRUE(fenced.solved);
   EXPECT_EQ(fenced.depth, baseline.depth);
 
   // The run itself repopulates the facts for the *current* problem.
-  EXPECT_EQ(hub.depth_unsat_max(), fenced.depth - 1);
+  EXPECT_EQ(facts.depth_unsat_max(), fenced.depth - 1);
 }
 
 }  // namespace

@@ -25,8 +25,8 @@
 #include "bengen/workloads.h"
 #include "device/presets.h"
 #include "layout/olsq2.h"
+#include "layout/search.h"
 #include "layout/tb.h"
-#include "sat/exchange.h"
 #include "subarch/library.h"
 #include "subarch/solve.h"
 
@@ -45,69 +45,69 @@ struct Pin {
 // clang-format off
 constexpr Pin kPins[] = {
     {"toffoli/qx2/depth", "66d674641c68e841", "be4ecca0d4188e23"},
-    {"toffoli/qx2/depth/exchange", "66d674641c68e841", "be4ecca0d4188e23"},
+    {"toffoli/qx2/depth/facts", "66d674641c68e841", "be4ecca0d4188e23"},
     {"toffoli/qx2/depth/non-incremental", "66d674641c68e841", "be4ecca0d4188e23"},
-    {"toffoli/qx2/depth/non-incremental/exchange", "66d674641c68e841", "be4ecca0d4188e23"},
+    {"toffoli/qx2/depth/non-incremental/facts", "66d674641c68e841", "be4ecca0d4188e23"},
     {"toffoli/qx2/swap", "a7557146fcb35717", "7750be79a88c0571"},
-    {"toffoli/qx2/swap/exchange", "a7557146fcb35717", "7750be79a88c0571"},
+    {"toffoli/qx2/swap/facts", "a7557146fcb35717", "7750be79a88c0571"},
     {"toffoli/qx2/swap/non-incremental", "a7557146fcb35717", "7750be79a88c0571"},
-    {"toffoli/qx2/swap/non-incremental/exchange", "a7557146fcb35717", "7750be79a88c0571"},
+    {"toffoli/qx2/swap/non-incremental/facts", "a7557146fcb35717", "7750be79a88c0571"},
     {"toffoli/qx2/tb-block", "ff5216c968a98711", "884fcc8a9a38a694"},
-    {"toffoli/qx2/tb-block/exchange", "ff5216c968a98711", "884fcc8a9a38a694"},
+    {"toffoli/qx2/tb-block/facts", "ff5216c968a98711", "884fcc8a9a38a694"},
     {"toffoli/qx2/tb-swap", "143cc26e6342a162", "05f700a1003edc03"},
-    {"toffoli/qx2/tb-swap/exchange", "143cc26e6342a162", "05f700a1003edc03"},
+    {"toffoli/qx2/tb-swap/facts", "143cc26e6342a162", "05f700a1003edc03"},
     {"toffoli/qx2/ladder", "fb285c23ce53617e", "884fcc8a9a38a694"},
     {"toffoli/grid1x3/depth", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
-    {"toffoli/grid1x3/depth/exchange", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
+    {"toffoli/grid1x3/depth/facts", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
     {"toffoli/grid1x3/depth/non-incremental", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
-    {"toffoli/grid1x3/depth/non-incremental/exchange", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
-    {"toffoli/grid1x3/swap", "04c4f8769935bd54", "92f3f109233ac5a1"},
-    {"toffoli/grid1x3/swap/exchange", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
-    {"toffoli/grid1x3/swap/non-incremental", "04c4f8769935bd54", "92f3f109233ac5a1"},
-    {"toffoli/grid1x3/swap/non-incremental/exchange", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/depth/non-incremental/facts", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
+    {"toffoli/grid1x3/swap", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/swap/facts", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/swap/non-incremental", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/swap/non-incremental/facts", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
     {"toffoli/grid1x3/tb-block", "5f595f5d4cf3861f", "07a7f9053f29f186"},
-    {"toffoli/grid1x3/tb-block/exchange", "5f595f5d4cf3861f", "07a7f9053f29f186"},
+    {"toffoli/grid1x3/tb-block/facts", "5f595f5d4cf3861f", "07a7f9053f29f186"},
     {"toffoli/grid1x3/tb-swap", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
-    {"toffoli/grid1x3/tb-swap/exchange", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
+    {"toffoli/grid1x3/tb-swap/facts", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
     {"toffoli/grid1x3/ladder", "1ee0f99639a5c4d7", "07a7f9053f29f186"},
-    {"qaoa6/grid2x3/depth", "cf42d2e85cdd7269", "a5ba14a519df113c"},
-    {"qaoa6/grid2x3/depth/exchange", "fe51267084a3520d", "f4cc14bdf83774c5"},
+    {"qaoa6/grid2x3/depth", "b148f83f7412f768", "f4cc14bdf83774c5"},
+    {"qaoa6/grid2x3/depth/facts", "fe51267084a3520d", "f4cc14bdf83774c5"},
     {"qaoa6/grid2x3/depth/non-incremental", "ebc672f313366a2b", "ab7dfffdcfc0d02e"},
-    {"qaoa6/grid2x3/depth/non-incremental/exchange", "37daf68238fa5b76", "ab7dfffdcfc0d02e"},
+    {"qaoa6/grid2x3/depth/non-incremental/facts", "37daf68238fa5b76", "ab7dfffdcfc0d02e"},
     {"qaoa6/grid2x3/swap", "8e8fe0384d1b7e97", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/exchange", "5e9eab57de5b30ec", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/non-incremental", "60edb484c6c27087", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/non-incremental/exchange", "b921a4d5a04a9c67", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/facts", "5e9eab57de5b30ec", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/non-incremental", "087faabc362a12c8", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/non-incremental/facts", "b921a4d5a04a9c67", "98159c90624a6d84"},
     {"qaoa6/grid2x3/tb-block", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
-    {"qaoa6/grid2x3/tb-block/exchange", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
+    {"qaoa6/grid2x3/tb-block/facts", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
     {"qaoa6/grid2x3/tb-swap", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
-    {"qaoa6/grid2x3/tb-swap/exchange", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
+    {"qaoa6/grid2x3/tb-swap/facts", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
     {"qaoa6/grid2x3/ladder", "d16b657160fa9e50", "77865603cc49b0f4"},
-    {"qft4/grid1x4/depth", "973a1b1738994253", "dbd2957bc89783c5"},
-    {"qft4/grid1x4/depth/exchange", "319d09431d959e55", "dbd2957bc89783c5"},
-    {"qft4/grid1x4/depth/non-incremental", "d2e5b73544415599", "928480bba020df2e"},
-    {"qft4/grid1x4/depth/non-incremental/exchange", "319d09431d959e55", "dbd2957bc89783c5"},
-    {"qft4/grid1x4/swap", "4bcae5629b2bf13e", "52568ac59dacc4a8"},
-    {"qft4/grid1x4/swap/exchange", "158897b5407c7644", "52568ac59dacc4a8"},
-    {"qft4/grid1x4/swap/non-incremental", "38f43569adc9cfd2", "52568ac59dacc4a8"},
-    {"qft4/grid1x4/swap/non-incremental/exchange", "c5606ecacfa06d8c", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/depth", "835e0d580fa5d6e2", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth/facts", "319d09431d959e55", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth/non-incremental", "835e0d580fa5d6e2", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth/non-incremental/facts", "319d09431d959e55", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/swap", "a3edc41b1a6033f9", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/facts", "158897b5407c7644", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/non-incremental", "083cbd40c6a04077", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/non-incremental/facts", "c5606ecacfa06d8c", "52568ac59dacc4a8"},
     {"qft4/grid1x4/tb-block", "008afe9ce3d587a4", "18476a79b99b2efa"},
-    {"qft4/grid1x4/tb-block/exchange", "008afe9ce3d587a4", "18476a79b99b2efa"},
+    {"qft4/grid1x4/tb-block/facts", "008afe9ce3d587a4", "18476a79b99b2efa"},
     {"qft4/grid1x4/tb-swap", "3030bef6e81865dd", "cf5327f123981323"},
-    {"qft4/grid1x4/tb-swap/exchange", "3030bef6e81865dd", "cf5327f123981323"},
+    {"qft4/grid1x4/tb-swap/facts", "3030bef6e81865dd", "cf5327f123981323"},
     {"qft4/grid1x4/ladder", "5a1c56d9e5d26a99", "18476a79b99b2efa"},
-    {"queko4/grid2x3/depth", "3512a7785dd84ca9", "c81706728115cfcf"},
-    {"queko4/grid2x3/depth/exchange", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
-    {"queko4/grid2x3/depth/non-incremental", "3512a7785dd84ca9", "c81706728115cfcf"},
-    {"queko4/grid2x3/depth/non-incremental/exchange", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
-    {"queko4/grid2x3/swap", "fec7e7cca392bfd6", "d8896e8da2e45323"},
-    {"queko4/grid2x3/swap/exchange", "5af91108bf4dbcb5", "d8896e8da2e45323"},
-    {"queko4/grid2x3/swap/non-incremental", "fec7e7cca392bfd6", "d8896e8da2e45323"},
-    {"queko4/grid2x3/swap/non-incremental/exchange", "5af91108bf4dbcb5", "d8896e8da2e45323"},
+    {"queko4/grid2x3/depth", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
+    {"queko4/grid2x3/depth/facts", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
+    {"queko4/grid2x3/depth/non-incremental", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
+    {"queko4/grid2x3/depth/non-incremental/facts", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
+    {"queko4/grid2x3/swap", "5af91108bf4dbcb5", "d8896e8da2e45323"},
+    {"queko4/grid2x3/swap/facts", "5af91108bf4dbcb5", "d8896e8da2e45323"},
+    {"queko4/grid2x3/swap/non-incremental", "5af91108bf4dbcb5", "d8896e8da2e45323"},
+    {"queko4/grid2x3/swap/non-incremental/facts", "5af91108bf4dbcb5", "d8896e8da2e45323"},
     {"queko4/grid2x3/tb-block", "ff5216c968a98711", "884fcc8a9a38a694"},
-    {"queko4/grid2x3/tb-block/exchange", "ff5216c968a98711", "884fcc8a9a38a694"},
+    {"queko4/grid2x3/tb-block/facts", "ff5216c968a98711", "884fcc8a9a38a694"},
     {"queko4/grid2x3/tb-swap", "143cc26e6342a162", "05f700a1003edc03"},
-    {"queko4/grid2x3/tb-swap/exchange", "143cc26e6342a162", "05f700a1003edc03"},
+    {"queko4/grid2x3/tb-swap/facts", "143cc26e6342a162", "05f700a1003edc03"},
     {"queko4/grid2x3/ladder", "1f64842344c41c3a", "05f700a1003edc03"},
 };
 // clang-format on
@@ -214,15 +214,15 @@ using Engine = std::function<Result(const Problem&, const OptimizerOptions&)>;
 /// Rows in computation order.
 using Table = std::vector<Row>;
 
-/// Runs `engine` once without sharing and once attached to a fresh
-/// exchange, appending one row each.
+/// Runs `engine` once on its own and once attached to fresh bound facts,
+/// appending one row each.
 void pin_engine(Table& table, const std::string& name, const Problem& problem,
                 const OptimizerOptions& options, const Engine& engine) {
   table.push_back(make_row(name, engine(problem, options)));
-  sat::ClauseExchange exchange;
+  BoundFacts facts;
   OptimizerOptions shared = options;
-  shared.exchange = &exchange;
-  table.push_back(make_row(name + "/exchange", engine(problem, shared)));
+  shared.facts = &facts;
+  table.push_back(make_row(name + "/facts", engine(problem, shared)));
 }
 
 Table compute_table() {

@@ -1,6 +1,6 @@
 // Tests for the serving layer: instance canonicalization, witness-based
 // result transfer, the two-tier result cache, manifests, and batch
-// deduplication on the shared exchange hub.
+// deduplication with shared bound facts.
 #include <gtest/gtest.h>
 
 #include <unistd.h>

@@ -18,7 +18,7 @@
 //                 ratio of two timings compounds their noise, so its
 //                 tolerance is wider than the per-timing one.
 //   info         (swap_count -- racing portfolios legitimately return
-//                 different optimal-depth layouts -- exchange traffic,
+//                 different optimal-depth layouts -- bound-fact counters,
 //                 runs_ms samples, peak_rss_bytes, and any unrecognized
 //                 key): reported, never gating.
 //
