@@ -18,10 +18,8 @@ int next_relaxed_bound(int t_b, const OptimizerOptions& options) {
   return std::max(t_b + 1, static_cast<int>(std::ceil(r * t_b)));
 }
 
-/// Build a Model wired for this optimizer run: restart policy, VSIDS seed,
-/// then every bound literal materialized up front. The seed jitters only
-/// the variables that exist when it is set, so the bound literals' helper
-/// variables start with zero activity.
+/// Build a Model wired for this optimizer run: restart policy, then every
+/// bound literal materialized up front.
 std::unique_ptr<Model> make_configured_model(const Problem& problem, int t_ub,
                                              const EncodingConfig& config,
                                              const OptimizerOptions& options,
@@ -29,7 +27,6 @@ std::unique_ptr<Model> make_configured_model(const Problem& problem, int t_ub,
   auto model = std::make_unique<Model>(problem, t_ub, config);
   sat::Solver& solver = model->solver();
   solver.set_restart_policy(options.restart_policy);
-  solver.set_vsids_seed(options.seed);
   model->materialize_bounds(with_swaps);
   return model;
 }
@@ -65,10 +62,10 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
   // Phase 1: geometric relaxation until the first satisfying bound.
   while (true) {
     if (deadline.expired()) return out;
-    // Shared facts: skip past bounds a portfolio peer already refuted, and
-    // never relax beyond a bound a peer already proved satisfiable.
+    // Shared facts: skip past bounds another search already refuted, and
+    // never relax beyond a bound one already proved satisfiable.
     if (t_b <= facts.depth_unsat_max() && t_b < t_ub) {
-      record_pruned(diag, t_b, -1, PruneReason::kPeer, facts);
+      record_pruned(diag, t_b, -1, PruneReason::kPeer);
       t_b = std::min(
           {next_relaxed_bound(facts.depth_unsat_max(), options), t_ub,
            std::max(facts.depth_sat_min(), t_lb)});
@@ -104,7 +101,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
     if (t_b <= facts.depth_unsat_max()) {
       // A peer already proved this bound (hence everything below it)
       // unsatisfiable: the incumbent is optimal.
-      record_pruned(diag, t_b, -1, PruneReason::kPeer, facts);
+      record_pruned(diag, t_b, -1, PruneReason::kPeer);
       break;
     }
     if (!options.incremental) {

@@ -99,67 +99,41 @@ void Deadline::arm(sat::Solver& solver) const {
 }
 
 void BoundFacts::begin_problem(const std::string& key) {
-  sync::MutexLock lock(mutex_);
   if (problem_key_ == key) return;
   problem_key_ = key;
-  depth_unsat_max_.store(-1, std::memory_order_release);
-  depth_sat_min_.store(std::numeric_limits<int>::max(),
-                       std::memory_order_release);
+  depth_unsat_max_ = -1;
+  depth_sat_min_ = std::numeric_limits<int>::max();
   swap_unsat_.clear();
 }
 
 void BoundFacts::note_depth_unsat(int depth) {
-  int cur = depth_unsat_max_.load(std::memory_order_relaxed);
-  while (depth > cur) {
-    if (depth_unsat_max_.compare_exchange_weak(cur, depth,
-                                               std::memory_order_acq_rel)) {
-      bound_facts_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
+  if (depth <= depth_unsat_max_) return;
+  depth_unsat_max_ = depth;
+  ++traffic_.bound_facts;
 }
 
 void BoundFacts::note_depth_sat(int depth) {
-  int cur = depth_sat_min_.load(std::memory_order_relaxed);
-  while (depth < cur) {
-    if (depth_sat_min_.compare_exchange_weak(cur, depth,
-                                             std::memory_order_acq_rel)) {
-      bound_facts_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
+  if (depth >= depth_sat_min_) return;
+  depth_sat_min_ = depth;
+  ++traffic_.bound_facts;
 }
 
 void BoundFacts::note_swap_unsat(int depth, int swaps) {
-  sync::MutexLock lock(mutex_);
   // (d, k) refutes every (d' <= d, k' <= k), so a fact with both
   // coordinates <= another's adds nothing.
-  for (const auto& [d, k] : swap_unsat_) {
-    if (d >= depth && k >= swaps) return;
-  }
+  if (swap_known_unsat(depth, swaps)) return;
   std::erase_if(swap_unsat_, [&](const std::pair<int, int>& f) {
     return f.first <= depth && f.second <= swaps;
   });
   swap_unsat_.emplace_back(depth, swaps);
-  bound_facts_.fetch_add(1, std::memory_order_relaxed);
+  ++traffic_.bound_facts;
 }
 
 bool BoundFacts::swap_known_unsat(int depth, int swaps) const {
-  sync::MutexLock lock(mutex_);
   for (const auto& [d, k] : swap_unsat_) {
     if (d >= depth && k >= swaps) return true;
   }
   return false;
-}
-
-std::vector<std::pair<int, int>> BoundFacts::swap_facts() const {
-  sync::MutexLock lock(mutex_);
-  return swap_unsat_;
-}
-
-BoundFacts::Traffic BoundFacts::traffic() const {
-  return {bound_facts_.load(std::memory_order_relaxed),
-          bound_pruned_.load(std::memory_order_relaxed)};
 }
 
 int FactHub::depth_unsat_max() const {
@@ -179,9 +153,6 @@ void FactHub::note_swap_unsat(int d, int k) const {
 }
 bool FactHub::swap_known_unsat(int d, int k) const {
   return facts && facts->swap_known_unsat(d, k);
-}
-void FactHub::note_pruned_call() const {
-  if (facts) facts->note_pruned_call();
 }
 
 sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
@@ -238,14 +209,13 @@ sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
 }
 
 void record_pruned(Result& diag, int bound, int swap_bound,
-                   PruneReason reason, const FactHub& facts) {
+                   PruneReason reason) {
   SolveCall call;
   call.depth_bound = bound;
   call.swap_bound = swap_bound;
   call.status = 'P';
   diag.calls.push_back(call);
   const bool by_peer = reason == PruneReason::kPeer;
-  if (by_peer) facts.note_pruned_call();
   if (obs::Trace::instance().enabled()) {
     obs::instant("olsq2.bound_pruned",
                  {{"reason", by_peer ? "peer" : "swap_floor", /*quoted=*/true}});
@@ -292,8 +262,7 @@ Result sweep_swaps(SearchEngine engine, SweepModel& model,
       if (target < floor.value || peer_fact) {
         record_pruned(diag, bound, target,
                       target < floor.value ? PruneReason::kSwapFloor
-                                           : PruneReason::kPeer,
-                      facts);
+                                           : PruneReason::kPeer);
         break;
       }
       const std::vector<Lit> assumptions = {current->horizon_bound(bound),

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "layout/types.h"
-#include "util/sync.h"
 
 namespace olsq2::layout {
 
@@ -51,16 +50,16 @@ class Deadline {
 enum class SearchEngine { kTimeResolved, kTransitionBased };
 
 /// Proven objective-bound facts about one problem, shared by every search
-/// of it: the entries of a portfolio race, or serve's engine variants of
-/// one instance. The facts are statements about the problem, not about any
-/// CNF, so they hold across encodings. Depth bounds are monotone (paper
-/// §III-B1): UNSAT at depth d implies UNSAT at every d' <= d. A SWAP fact
-/// carries the depth bound it was proved under: "no solution with depth
-/// <= d and swaps <= k" refutes every query at (d' <= d, k' <= k).
+/// of it: serve's engine variants of one instance, or the runs a caller
+/// attaches one after another. The facts are statements about the problem,
+/// not about any CNF, so they hold across encodings. Depth bounds are
+/// monotone (paper §III-B1): UNSAT at depth d implies UNSAT at every
+/// d' <= d. A SWAP fact carries the depth bound it was proved under: "no
+/// solution with depth <= d and swaps <= k" refutes every query at
+/// (d' <= d, k' <= k).
 ///
-/// Thread-safe. The depth cells and counters are single atomic words; the
-/// SWAP set and the problem key sit behind one leaf mutex
-/// ("layout.bound_facts", DESIGN.md §11).
+/// Not thread-safe; the owner serializes access (serve::Server holds it
+/// under its "serve.batch.solve" lock).
 class BoundFacts {
  public:
   BoundFacts() = default;
@@ -71,51 +70,40 @@ class BoundFacts {
   /// differs from the current one drops every fact: a depth-UNSAT fact of
   /// instance A would wrongly prune instance B's search and corrupt its
   /// reported optimum. Same-key calls are no-ops. Single-problem users
-  /// (the portfolio, a standalone run) never need to call this.
-  void begin_problem(const std::string& key) OLSQ2_EXCLUDES(mutex_);
+  /// never need to call this.
+  void begin_problem(const std::string& key);
 
   /// Record a proof that no solution has depth <= `depth`.
   void note_depth_unsat(int depth);
   /// Record that a solution with depth `depth` exists.
   void note_depth_sat(int depth);
   /// Largest depth proven UNSAT (-1 when none).
-  int depth_unsat_max() const {
-    return depth_unsat_max_.load(std::memory_order_acquire);
-  }
+  int depth_unsat_max() const { return depth_unsat_max_; }
   /// Smallest depth known SAT (INT_MAX when none).
-  int depth_sat_min() const {
-    return depth_sat_min_.load(std::memory_order_acquire);
-  }
+  int depth_sat_min() const { return depth_sat_min_; }
 
   /// Record a proof that no solution has depth <= `depth` and SWAP count
   /// <= `swaps`. Only non-dominated facts are kept.
-  void note_swap_unsat(int depth, int swaps) OLSQ2_EXCLUDES(mutex_);
+  void note_swap_unsat(int depth, int swaps);
   /// True when a recorded fact refutes (depth <= `depth`, swaps <= `swaps`).
-  bool swap_known_unsat(int depth, int swaps) const OLSQ2_EXCLUDES(mutex_);
-  /// Snapshot of the non-dominated (depth, swaps) facts, in no set order.
-  std::vector<std::pair<int, int>> swap_facts() const OLSQ2_EXCLUDES(mutex_);
-
-  /// A search skipped a SAT call because a fact already decided it.
-  void note_pruned_call() {
-    bound_pruned_.fetch_add(1, std::memory_order_relaxed);
+  bool swap_known_unsat(int depth, int swaps) const;
+  /// The non-dominated (depth, swaps) facts, in no set order.
+  const std::vector<std::pair<int, int>>& swap_facts() const {
+    return swap_unsat_;
   }
 
   struct Traffic {
-    std::uint64_t bound_facts = 0;   // facts recorded
-    std::uint64_t bound_pruned = 0;  // SAT calls skipped thanks to a fact
+    std::uint64_t bound_facts = 0;  // facts recorded
   };
-  Traffic traffic() const;
+  Traffic traffic() const { return traffic_; }
 
  private:
-  std::atomic<int> depth_unsat_max_{-1};
-  std::atomic<int> depth_sat_min_{std::numeric_limits<int>::max()};
-  std::atomic<std::uint64_t> bound_facts_{0};
-  std::atomic<std::uint64_t> bound_pruned_{0};
-
-  mutable sync::Mutex mutex_{"layout.bound_facts"};
-  std::string problem_key_ OLSQ2_GUARDED_BY(mutex_);
+  int depth_unsat_max_ = -1;
+  int depth_sat_min_ = std::numeric_limits<int>::max();
+  Traffic traffic_;
+  std::string problem_key_;
   /// Non-dominated (depth, swaps) UNSAT facts.
-  std::vector<std::pair<int, int>> swap_unsat_ OLSQ2_GUARDED_BY(mutex_);
+  std::vector<std::pair<int, int>> swap_unsat_;
 };
 
 /// Nullable view over a BoundFacts; every accessor degrades to "no facts
@@ -129,7 +117,6 @@ struct FactHub {
   void note_depth_sat(int d) const;
   void note_swap_unsat(int d, int k) const;
   bool swap_known_unsat(int d, int k) const;
-  void note_pruned_call() const;
 };
 
 /// One SAT call under `assumptions`, armed by `deadline`: a trace span, a
@@ -142,7 +129,7 @@ sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
 
 /// Why a bound was decided without a SAT call.
 enum class PruneReason {
-  kPeer,       // a portfolio peer's shared bound fact (FactHub)
+  kPeer,       // a shared bound fact of the problem (FactHub)
   kSwapFloor,  // the SWAP floor of sweep_swaps
 };
 
@@ -150,7 +137,7 @@ enum class PruneReason {
 /// an `olsq2.bound_pruned` instant and `layout_pruned_probes_total`, each
 /// carrying `reason`.
 void record_pruned(Result& diag, int bound, int swap_bound,
-                   PruneReason reason, const FactHub& facts);
+                   PruneReason reason);
 
 /// What the SWAP sweep needs from an engine model: a solver and two
 /// assumption literals, horizon <= `bound` and SWAPs <= `swaps`. Models

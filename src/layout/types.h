@@ -117,16 +117,13 @@ struct OptimizerOptions {
   /// Restart strategy for the underlying CDCL solver.
   sat::Solver::RestartPolicy restart_policy =
       sat::Solver::RestartPolicy::kGlucose;
-  /// Optional externally-owned cancellation flag (portfolio solving). When
-  /// it turns true, the optimizer unwinds as if its budget expired.
+  /// Optional caller-owned cancellation flag (serve, plan and subarch pass
+  /// theirs through). When it turns true, the optimizer unwinds as if its
+  /// budget expired.
   const std::atomic<bool>* cancel = nullptr;
-  /// VSIDS tie-breaking jitter seed (0 = none). Distinct seeds diversify
-  /// portfolio entries; a fixed seed reproduces a run exactly.
-  std::uint64_t seed = 0;
   /// Proven objective-bound facts shared with other searches of the same
-  /// problem (portfolio entries, serve's engine variants of one instance).
-  /// Owned by the caller; nullptr = none. synthesize_portfolio installs
-  /// one automatically.
+  /// problem (serve's engine variants of one instance). Owned by the
+  /// caller; nullptr = none.
   BoundFacts* facts = nullptr;
 };
 

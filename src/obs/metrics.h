@@ -17,9 +17,10 @@
 // Cost discipline (same contract as obs::Span):
 //   * disabled: every record call is one relaxed atomic load and a branch.
 //   * enabled:  counters/histograms are sharded across cache-line-padded
-//     atomic slots indexed by thread id, so portfolio threads never contend
-//     on one cache line. Registry lookups take a mutex — call sites on hot
-//     paths cache the returned reference in a function-local static.
+//     atomic slots indexed by thread id, so concurrent callers (of a shared
+//     serve::Server, say) rarely contend on one cache line. Registry
+//     lookups take a mutex — call sites on hot paths cache the returned
+//     reference in a function-local static.
 //
 // Activation (checked once, on first use):
 //   OLSQ2_METRICS=<file>  collect, and write the registry to <file> at
@@ -59,8 +60,8 @@ inline bool enabled() {
 }
 void set_enabled(bool on);
 
-/// Shards per metric: enough that a 4-8 thread portfolio rarely collides,
-/// small enough that snapshot sums stay trivial.
+/// Shards per metric: enough that a handful of calling threads rarely
+/// collide, small enough that snapshot sums stay trivial.
 inline constexpr std::size_t kShards = 8;
 
 class Counter {

@@ -93,7 +93,6 @@ void Trace::begin_capture(std::string trace_file, bool summary) {
   trace_file_ = std::move(trace_file);
   summary_ = summary;
   events_.clear();
-  thread_names_.clear();
   epoch_ns_.store(steady_now_ns(), std::memory_order_release);
   enabled_.store(true, std::memory_order_relaxed);
 }
@@ -105,14 +104,13 @@ std::string Trace::end_capture() {
   if (!trace_file_.empty()) {
     std::ofstream out(trace_file_);
     if (out) {
-      out << to_chrome_trace(events_, thread_names_);
+      out << to_chrome_trace(events_);
     } else {
       std::cerr << "obs: cannot write trace file " << trace_file_ << "\n";
     }
   }
   if (summary_) std::cerr << summary_text;
   events_.clear();
-  thread_names_.clear();
   trace_file_.clear();
   summary_ = false;
   return summary_text;
@@ -122,12 +120,6 @@ void Trace::record(Event e) {
   if (!enabled()) return;
   sync::MutexLock lock(mutex_);
   events_.push_back(std::move(e));
-}
-
-void Trace::set_thread_name(std::string name) {
-  if (!enabled()) return;
-  sync::MutexLock lock(mutex_);
-  thread_names_.emplace_back(thread_id(), std::move(name));
 }
 
 std::vector<Event> Trace::snapshot() const {
@@ -211,24 +203,12 @@ void instant(const char* name, std::vector<Arg> args) {
   trace.record(std::move(e));
 }
 
-std::string to_chrome_trace(
-    const std::vector<Event>& events,
-    const std::vector<std::pair<std::uint32_t, std::string>>& thread_names) {
+std::string to_chrome_trace(const std::vector<Event>& events) {
   std::ostringstream out;
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) out << ",";
-    first = false;
-    out << "\n";
-  };
-  for (const auto& [tid, name] : thread_names) {
-    sep();
-    out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-        << ",\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
-  }
   for (const Event& e : events) {
-    sep();
+    if (&e != events.data()) out << ",";
+    out << "\n";
     out << "{\"name\":\"" << json_escape(e.name) << "\",\"ph\":\"";
     switch (e.kind) {
       case Event::Kind::kSpan: out << "X"; break;
@@ -243,8 +223,9 @@ std::string to_chrome_trace(
     }
     if (e.kind == Event::Kind::kInstant) out << ",\"s\":\"t\"";
     // Chrome groups counter tracks by (pid, name) and ignores tid, so
-    // multi-threaded streams of the same counter (one per portfolio
-    // strategy) would interleave into one garbled track. An explicit "id"
+    // streams of the same counter from different threads (say, two
+    // callers sharing one serve::Server) would interleave into one garbled
+    // track. An explicit "id"
     // keyed by the thread id splits them back apart.
     if (e.kind == Event::Kind::kCounter) out << ",\"id\":\"" << e.tid << "\"";
     if (!e.args.empty()) {

@@ -11,7 +11,7 @@
 // and exports two ways when a capture ends:
 //   * Chrome trace_event JSON - load the file in chrome://tracing or
 //     https://ui.perfetto.dev to see the whole Pareto sweep as a timeline,
-//     one track per thread (portfolio strategies get named tracks).
+//     one track per thread.
 //   * a human-readable summary tree (span path -> count, total ms) printed
 //     to stderr.
 //
@@ -83,10 +83,6 @@ class Trace {
   /// Record a finished event. No-op when disabled.
   void record(Event e);
 
-  /// Name the calling thread's track in the exported timeline (portfolio
-  /// strategies). No-op when disabled.
-  void set_thread_name(std::string name);
-
   /// Small dense id for the calling thread, stable for its lifetime.
   static std::uint32_t thread_id();
 
@@ -104,8 +100,6 @@ class Trace {
   mutable sync::Mutex mutex_{"obs.trace"};
   std::atomic<bool> enabled_{false};
   std::vector<Event> events_ OLSQ2_GUARDED_BY(mutex_);
-  std::vector<std::pair<std::uint32_t, std::string>> thread_names_
-      OLSQ2_GUARDED_BY(mutex_);
   std::string trace_file_ OLSQ2_GUARDED_BY(mutex_);
   bool summary_ OLSQ2_GUARDED_BY(mutex_) = false;
   /// steady_clock ns at capture start. Atomic, not guarded: now_ns() runs
@@ -152,8 +146,6 @@ void instant(const char* name, std::vector<Arg> args = {});
 std::string build_summary(const std::vector<Event>& events);
 
 /// Serialize events as a Chrome trace_event JSON document (pure).
-std::string to_chrome_trace(
-    const std::vector<Event>& events,
-    const std::vector<std::pair<std::uint32_t, std::string>>& thread_names);
+std::string to_chrome_trace(const std::vector<Event>& events);
 
 }  // namespace olsq2::obs

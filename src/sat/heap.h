@@ -50,11 +50,6 @@ class ActivityHeap {
     return top;
   }
 
-  /// Called after a global activity rescale: order is preserved, no-op.
-  void rebuild() {
-    for (std::size_t i = heap_.size(); i-- > 0;) sift_down(i);
-  }
-
  private:
   bool greater(Var a, Var b) const { return activity_[a] > activity_[b]; }
 

@@ -371,20 +371,6 @@ Lit Solver::pick_branch_lit() {
 
 void Solver::set_polarity(Var v, bool value) { polarity_[v] = value; }
 
-void Solver::set_vsids_seed(std::uint64_t seed) {
-  if (seed == 0) return;
-  for (Var v = 0; v < num_vars(); ++v) {
-    // splitmix64 over (seed, v); jitter far below one activity bump so the
-    // perturbation only ever breaks ties.
-    std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(v) + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    activity_[v] += static_cast<double>(z % 1000003) * 1e-12;
-  }
-  order_heap_.rebuild();
-}
-
 void Solver::analyze_final(Lit failed_assumption) {
   // The negation of `failed_assumption` holds in the current trail; walk
   // its implication ancestry and collect every *decision* (= assumption)

@@ -75,9 +75,10 @@ class Solver {
             external_interrupt_->load(std::memory_order_relaxed));
   }
 
-  /// Share an externally-owned cancellation flag (portfolio solving): when
-  /// it becomes true, in-flight and future solves return kUndef. The flag
-  /// must outlive the solver or be detached with nullptr.
+  /// Share an externally-owned cancellation flag (an optimizer's cancel
+  /// token, installed by layout::Deadline::arm): when it becomes true,
+  /// in-flight and future solves return kUndef. The flag must outlive the
+  /// solver or be detached with nullptr.
   void set_external_interrupt(const std::atomic<bool>* flag) {
     external_interrupt_ = flag;
   }
@@ -93,12 +94,6 @@ class Solver {
   /// Suggest an initial polarity for a variable (domain-guided search,
   /// cf. the paper's future-work discussion on heuristic guidance).
   void set_polarity(Var v, bool value);
-
-  /// Deterministically jitter VSIDS activities (splitmix64 keyed by
-  /// `seed`), diversifying decision tie-breaking per portfolio entry while
-  /// staying reproducible run-to-run. Applies to variables that exist now;
-  /// call after the formula is built. Seed 0 is a no-op.
-  void set_vsids_seed(std::uint64_t seed);
 
   /// Restart strategy. kGlucose restarts when the recent learnt-clause LBD
   /// average degrades relative to the lifetime average, with trail-size

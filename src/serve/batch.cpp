@@ -75,7 +75,6 @@ layout::Result run_engine(Engine engine, const layout::Problem& problem,
       plan::PlanOptions popt;
       popt.time_budget_ms = options.time_budget_ms;
       popt.cancel = options.cancel;
-      if (options.seed != 0) popt.seed = options.seed;
       // PlanResult::layout reports hit_budget for non-certified plans, so
       // the cache (which skips hit_budget results) never pins one.
       if (engage) {

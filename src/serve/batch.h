@@ -8,7 +8,7 @@
 //
 // so two requests that differ only by program-qubit relabeling, coupling-
 // graph relabeling, or commuting gate reorder share one entry. Optimizer
-// options (budget, seed, probes) are deliberately *excluded*: they steer
+// options (budget, cancel token) are deliberately *excluded*: they steer
 // the search, not the optimum, and a cached optimum answers any budget.
 // Results that expired their budget - unsolved, or solved but possibly
 // suboptimal (hit_budget) - are never cached.
@@ -24,11 +24,12 @@
 // (serve/transfer.h).
 // Concurrency: a Server may be shared by concurrent callers. The cache is
 // internally thread-safe (serve/cache.h); the solve phase is serialized by
-// the annotated "serve.batch.solve" mutex because the bound facts'
-// begin_problem() fencing protocol is stateful - two interleaved batches
-// would re-fence each other's facts mid-solve. Lock hierarchy (DESIGN.md
-// §11): serve.batch.solve -> layout.bound_facts and serve.batch.solve ->
-// serve.cache.
+// the annotated "serve.batch.solve" mutex, which also guards the bound
+// facts: BoundFacts is not thread-safe, and its begin_problem() fencing
+// protocol is stateful - two interleaved batches would re-fence each
+// other's facts mid-solve. Lock hierarchy (DESIGN.md §11):
+// serve.batch.solve -> serve.cache, and serve.batch.solve -> the subarch
+// pre-pass's subarch.library and subarch.cover.
 #pragma once
 
 #include <string>
@@ -129,7 +130,7 @@ class Server {
   /// Serializes the residual-solve phase: facts_ fencing + solve + cache
   /// insert run as one critical section per batch.
   sync::Mutex solve_mutex_{"serve.batch.solve"};
-  layout::BoundFacts facts_;
+  layout::BoundFacts facts_ OLSQ2_GUARDED_BY(solve_mutex_);
 };
 
 }  // namespace olsq2::serve

@@ -1,7 +1,7 @@
 // Benchdiff semantics: key classification, thresholds, noise floor, config
 // fencing, and robustness to array reordering. Documents mimic the
-// BENCH_serve.json / BENCH_parallel.json schemas (bench/common.h
-// json_stamp + emitter bodies).
+// BENCH_serve.json / BENCH_plan.json schemas (bench/common.h json_stamp +
+// emitter bodies).
 #include <string>
 
 #include <gtest/gtest.h>
@@ -139,8 +139,8 @@ TEST(BenchDiff, ArrayElementsMatchByNameAcrossReordering) {
 }
 
 TEST(BenchDiff, InfoKeysNeverGate) {
-  // swap_count is info: racing portfolio entries legitimately return
-  // different optimal-depth layouts with different swap counts.
+  // swap_count is info: in a depth run the SWAP count is a by-product,
+  // not an optimum, and any search change may move it.
   const std::string base =
       "{\"schema_version\":1,\"peak_rss_bytes\":1000,\"swap_count\":1,"
       "\"clauses_published\":50,\"runs_ms\":[10,20,30]}";

@@ -178,17 +178,25 @@ TEST_F(LockOrderTest, SharedMutexParticipates) {
 TEST_F(LockOrderTest, ContractLocksComposeAcrossRealSubsystems) {
   // The production ranks must still be acyclic when exercised in the
   // documented hierarchy order (DESIGN.md §11): serve.batch.solve ->
-  // layout.bound_facts, and serve.batch.solve -> serve.cache ->
-  // obs.metrics.registry. Reproduced here with same-named test mutexes; the
-  // real wiring is covered end-to-end by the serve/portfolio suites running
-  // under OLSQ2_LOCK_ORDER in CI.
+  // subarch.library / subarch.cover -> obs.metrics.registry, and
+  // serve.batch.solve -> serve.cache -> obs.metrics.registry. Reproduced
+  // here with same-named test mutexes; the real wiring is covered
+  // end-to-end by the serve/subarch suites running under OLSQ2_LOCK_ORDER
+  // in CI.
   Mutex solve("serve.batch.solve");
-  Mutex facts("layout.bound_facts");
+  Mutex library("subarch.library");
+  Mutex cover("subarch.cover");
   Mutex cache("serve.cache");
   Mutex registry("obs.metrics.registry");
   {
     MutexLock l1(solve);
-    MutexLock l2(facts);
+    MutexLock l2(library);
+    MutexLock l3(registry);
+  }
+  {
+    MutexLock l1(solve);
+    MutexLock l2(cover);
+    MutexLock l3(registry);
   }
   {
     MutexLock l1(solve);

@@ -105,7 +105,6 @@ TEST(ObsTrace, ChromeTraceParsesBack) {
   const std::string path = testing::TempDir() + "/obs_chrome_trace.json";
   obs::Trace& trace = obs::Trace::instance();
   trace.begin_capture(path);
-  trace.set_thread_name("na\"me with \\ quirks");
   {
     obs::Span span("span \"with\" \\escapes\n");
     span.arg("label", "va\"lue\\");

@@ -1,6 +1,6 @@
-// Stateful-reuse regression tests: components that the serve layer (and the
-// portfolio) call repeatedly on different problems must either fully reset
-// their internal state per call or namespace it per problem.
+// Stateful-reuse regression tests: components that the serve layer calls
+// repeatedly on different problems must either fully reset their internal
+// state per call or namespace it per problem.
 //
 //   layout::Model            - repeated bound requests must be cached (no
 //     new solver variables) and repeated solves under the same assumptions

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bengen/rng.h"
@@ -469,6 +470,62 @@ TEST(Server, TransitionBasedRequestsServeAndHit) {
   const auto warm = server.serve(req);
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(warm.result.swap_count, cold.result.swap_count);
+}
+
+// A Server may be shared by concurrent callers: the cache locks itself and
+// serve.batch.solve serializes each batch's solve phase together with the
+// bound facts it owns. With the cache off every request solves, so two
+// callers interleaving batches over one instance contend on those facts;
+// each must still get the optima one caller gets, verified in its own
+// request's label space.
+TEST(Server, ConcurrentCallersGetTheSerialOptima) {
+  const auto base = triangle_instance();
+  bengen::Rng rng(21);
+  const auto relabeled = fuzz::relabel_physical_qubits(base, rng);
+  std::vector<Request> batch;
+  for (const auto* inst : {&base, &relabeled}) {
+    for (const Engine engine :
+         {Engine::kDepth, Engine::kSwap, Engine::kTbSwap}) {
+      Request req;
+      req.circuit = &inst->circuit;
+      req.device = &inst->device;
+      req.engine = engine;
+      req.options.time_budget_ms = 30000;
+      batch.push_back(req);
+    }
+  }
+  ServerOptions opts;
+  opts.use_cache = false;
+  const std::vector<Response> serial = Server(opts).serve_batch(batch);
+
+  Server shared(opts);
+  std::vector<std::vector<Response>> answers(2);
+  std::vector<std::thread> callers;
+  for (auto& out : answers) {
+    callers.emplace_back([&shared, &batch, &out] {
+      out = shared.serve_batch(batch);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  for (const std::vector<Response>& responses : answers) {
+    ASSERT_EQ(responses.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const layout::Result& got = responses[i].result;
+      const layout::Result& want = serial[i].result;
+      const layout::Problem problem{batch[i].circuit, batch[i].device, 1};
+      ASSERT_TRUE(got.solved && !got.hit_budget);
+      EXPECT_EQ(responses[i].key, serial[i].key);
+      if (batch[i].engine == Engine::kDepth) {
+        EXPECT_EQ(got.depth, want.depth);
+      } else {
+        EXPECT_EQ(got.swap_count, want.swap_count);
+      }
+      EXPECT_TRUE(got.transition_based
+                      ? layout::verify_transition_based(problem, got).ok
+                      : layout::verify(problem, got).ok);
+    }
+  }
 }
 
 // ---- manifests ----------------------------------------------------------

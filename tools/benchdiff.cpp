@@ -77,13 +77,13 @@ enum class KeyClass { kConfig, kCorrectness, kTiming, kRatio, kInfo };
 KeyClass classify(const std::string& base) {
   static const std::set<std::string> config = {
       "schema_version", "bench",    "budget_ms",      "runs",
-      "dups",           "requests", "duplicate_share", "entries"};
+      "dups",           "requests", "duplicate_share"};
   static const std::set<std::string> correctness = {"solved", "depth",
                                                     "solves", "hits",
                                                     "one_key"};
-  // swap_count is informational: when depth is the objective, racing
-  // portfolio entries legitimately return different optimal-depth layouts
-  // with different swap counts.
+  // swap_count is informational: when depth is the objective, the SWAP
+  // count of the returned layout is a by-product, not an optimum, and any
+  // search change may land on an equally deep layout with other SWAPs.
   static const std::set<std::string> info = {"runs_ms", "peak_rss_bytes",
                                              "swap_count"};
   if (config.count(base)) return KeyClass::kConfig;

@@ -1,10 +1,10 @@
-// Regression diff over two BENCH_*.json artifacts (bench/bench_parallel,
-// bench/bench_serve). The emitters stamp a shared provenance header
+// Regression diff over two BENCH_*.json artifacts (bench/bench_serve,
+// bench/bench_plan, ...). The emitters stamp a shared provenance header
 // (bench/common.h json_stamp: schema_version, bench, git_sha, timestamp,
 // peak_rss_bytes); this tool flattens both documents into path -> value
 // maps and compares them key class by key class:
 //
-//   config       (schema_version, budget_ms, runs, dups, requests, entries,
+//   config       (schema_version, budget_ms, runs, dups, requests,
 //                 duplicate_share, and every string except git_sha /
 //                 timestamp): any difference means the two runs are not
 //                 comparable -> DiffStatus::kError.
@@ -17,10 +17,11 @@
 //   ratio        (speedup): lower-is-worse, gated by max_ratio_drop -- a
 //                 ratio of two timings compounds their noise, so its
 //                 tolerance is wider than the per-timing one.
-//   info         (swap_count -- racing portfolios legitimately return
-//                 different optimal-depth layouts -- bound-fact counters,
-//                 runs_ms samples, peak_rss_bytes, and any unrecognized
-//                 key): reported, never gating.
+//   info         (swap_count -- in a depth run the SWAP count is a
+//                 by-product, not an optimum, and any search change moves
+//                 it -- bound-fact counters, runs_ms samples,
+//                 peak_rss_bytes, and any unrecognized key): reported,
+//                 never gating.
 //
 // A gated key present in the baseline but missing from the current run is a
 // regression (silent metric loss must not pass CI); extra keys in the
