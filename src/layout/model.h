@@ -29,11 +29,12 @@ namespace olsq2::layout {
 
 class Model : public SweepModel {
  public:
-  /// Build the full constraint system for depths 0..t_ub-1. When `proof`
-  /// is non-null the solver logs a DRAT proof, and when `log_clauses` is
-  /// set the original CNF is retained (both needed for certification and
-  /// DIMACS export; they must be armed before constraints are emitted,
-  /// hence constructor parameters).
+  /// Build the full constraint system for depths 0..t_ub-1. Any schedule of
+  /// depth <= t_ub fits, so the optimizers pass the depth bound a model
+  /// answers as `t_ub`. When `proof` is non-null the solver logs a DRAT
+  /// proof, and when `log_clauses` is set the original CNF is retained
+  /// (both needed for certification and DIMACS export; they must be armed
+  /// before constraints are emitted, hence constructor parameters).
   Model(const Problem& problem, int t_ub, const EncodingConfig& config,
         sat::Proof* proof = nullptr, bool log_clauses = false);
 

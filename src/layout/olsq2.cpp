@@ -13,9 +13,12 @@ namespace olsq2::layout {
 
 namespace {
 
-int next_relaxed_bound(int t_b, const OptimizerOptions& options) {
+/// The geometric relaxation step (paper §III-B1), capped at `t_ub` until it
+/// gets there; past an UNSAT `t_ub` it goes on uncapped.
+int next_relaxed_bound(int t_b, int t_ub, const OptimizerOptions& options) {
   const double r = t_b < 100 ? options.relax_small : options.relax_large;
-  return std::max(t_b + 1, static_cast<int>(std::ceil(r * t_b)));
+  const int next = std::max(t_b + 1, static_cast<int>(std::ceil(r * t_b)));
+  return t_b < t_ub ? std::min(next, t_ub) : next;
 }
 
 /// Build a Model wired for this optimizer run: restart policy, then every
@@ -25,8 +28,7 @@ std::unique_ptr<Model> make_configured_model(const Problem& problem, int t_ub,
                                              const OptimizerOptions& options,
                                              bool with_swaps) {
   auto model = std::make_unique<Model>(problem, t_ub, config);
-  sat::Solver& solver = model->solver();
-  solver.set_restart_policy(options.restart_policy);
+  model->solver().set_restart_policy(options.restart_policy);
   model->materialize_bounds(with_swaps);
   return model;
 }
@@ -43,6 +45,8 @@ struct DepthPhaseOutcome {
 };
 
 /// Shared depth-optimization phase; also the first stage of the SWAP sweep.
+/// Every model is built at the horizon of the bound it answers, since a
+/// schedule of depth <= t_b fits in horizon t_b.
 DepthPhaseOutcome run_depth_phase(const Problem& problem,
                                   const EncodingConfig& config,
                                   const OptimizerOptions& options,
@@ -51,13 +55,12 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
   obs::Span phase_span("olsq2.depth_phase");
   const circuit::DependencyGraph deps(*problem.circuit);
   const int t_lb = deps.longest_chain();
-  int t_ub = deps.default_upper_bound();
+  const int t_ub = deps.default_upper_bound();
   const FactHub facts{options.facts};
 
   DepthPhaseOutcome out;
+  std::unique_ptr<Model> model;
   int t_b = t_lb;
-  auto model =
-      make_configured_model(problem, t_ub, config, options, with_swaps);
 
   // Phase 1: geometric relaxation until the first satisfying bound.
   while (true) {
@@ -66,35 +69,24 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
     // never relax beyond a bound one already proved satisfiable.
     if (t_b <= facts.depth_unsat_max() && t_b < t_ub) {
       record_pruned(diag, t_b, -1, PruneReason::kPeer);
-      t_b = std::min(
-          {next_relaxed_bound(facts.depth_unsat_max(), options), t_ub,
-           std::max(facts.depth_sat_min(), t_lb)});
+      t_b = std::min(next_relaxed_bound(facts.depth_unsat_max(), t_ub, options),
+                     std::max(facts.depth_sat_min(), t_lb));
       continue;
     }
     const int sat_cap = facts.depth_sat_min();
     if (t_b > sat_cap && sat_cap >= t_lb && sat_cap < t_ub) t_b = sat_cap;
+    model = make_configured_model(problem, t_b, config, options, with_swaps);
     const sat::LBool status = solve_depth(*model, t_b, deadline, diag);
     if (status == sat::LBool::kUndef) return out;
     if (status == sat::LBool::kTrue) break;
-    facts.note_depth_unsat(t_b >= t_ub ? t_ub : t_b);
-    if (t_b >= t_ub) {
-      // Even the unconstrained horizon is UNSAT: regenerate with a larger
-      // T_UB (paper §III-B1).
-      t_ub = next_relaxed_bound(t_ub, options);
-      model =
-          make_configured_model(problem, t_ub, config, options, with_swaps);
-      continue;
-    }
-    t_b = std::min(next_relaxed_bound(t_b, options), t_ub);
-    if (!options.incremental) {
-      model =
-          make_configured_model(problem, t_ub, config, options, with_swaps);
-    }
+    facts.note_depth_unsat(t_b);
+    t_b = next_relaxed_bound(t_b, t_ub, options);
   }
 
   out.best = model->extract();
   facts.note_depth_sat(out.best.depth);
-  // Phase 2: decrement to the first UNSAT.
+  // Phase 2: decrement to the first UNSAT, incrementally on the first SAT
+  // model unless the options ask for a fresh model per bound.
   t_b = out.best.depth - 1;
   while (t_b >= t_lb) {
     if (deadline.expired()) break;
@@ -104,14 +96,16 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
       record_pruned(diag, t_b, -1, PruneReason::kPeer);
       break;
     }
-    if (!options.incremental) {
-      model =
-          make_configured_model(problem, t_ub, config, options, with_swaps);
-    }
-    const sat::LBool status = solve_depth(*model, t_b, deadline, diag);
+    std::unique_ptr<Model> fresh =
+        options.incremental ? nullptr
+                            : make_configured_model(problem, t_b, config,
+                                                    options, with_swaps);
+    Model& current = fresh ? *fresh : *model;
+    const sat::LBool status = solve_depth(current, t_b, deadline, diag);
     if (status == sat::LBool::kFalse) facts.note_depth_unsat(t_b);
     if (status != sat::LBool::kTrue) break;
-    out.best = model->extract();
+    out.best = current.extract();
+    if (fresh) model = std::move(fresh);
     facts.note_depth_sat(out.best.depth);
     t_b = out.best.depth - 1;
   }
@@ -148,13 +142,13 @@ Result synthesize_swap_optimal(const Problem& problem,
     return outcome.best;
   }
 
-  // Relaxing past the model's horizon regenerates it 1.5x larger.
+  // Relaxing past the model's horizon regenerates it at exactly the bound
+  // asked for; depth_bound(t_ub()) is already the true literal.
   std::unique_ptr<Model> model = std::move(outcome.model);
   const ModelAt model_at = [&](int depth_bound) -> SweepModel& {
-    if (depth_bound >= model->t_ub()) {
-      model = make_configured_model(
-          problem, static_cast<int>(std::ceil(1.5 * model->t_ub())), config,
-          options, /*with_swaps=*/true);
+    if (depth_bound > model->t_ub()) {
+      model = make_configured_model(problem, depth_bound, config, options,
+                                    /*with_swaps=*/true);
     }
     return *model;
   };

@@ -6,8 +6,8 @@
 // optimization: 2-D Pareto sweep - at each depth bound run iterative descent
 // on the SWAP bound (monotone solution structure, §III-B2), then relax the
 // depth and retry, stopping when the SWAP count stops improving or the time
-// budget expires. Both loops run on one incrementally-solved model with
-// bounds supplied as assumption literals.
+// budget expires. Each relaxed bound gets a model of exactly that horizon;
+// the rest runs incrementally on it, bounds given as assumption literals.
 #pragma once
 
 #include "layout/model.h"

@@ -265,6 +265,7 @@ Result sweep_swaps(SearchEngine engine, SweepModel& model,
                                            : PruneReason::kPeer);
         break;
       }
+      if (current == nullptr) current = &model_at(bound);
       const std::vector<Lit> assumptions = {current->horizon_bound(bound),
                                             current->swap_bound(target)};
       const sat::LBool status = solve_call(engine, current->solver(),
@@ -300,7 +301,8 @@ Result sweep_swaps(SearchEngine engine, SweepModel& model,
     if (best.swap_count == 0 || deadline.expired() || diag.hit_budget) break;
     if (prev_bound_swaps >= 0 && best.swap_count >= prev_bound_swaps) break;
     prev_bound_swaps = best.swap_count;
-    current = &model_at(++bound);
+    ++bound;
+    current = nullptr;
   }
 
   best.pareto = std::move(pareto);

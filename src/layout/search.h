@@ -154,7 +154,8 @@ class SweepModel {
 };
 
 /// Returns a model able to represent horizon `bound`, growing it by the
-/// engine's own rule when needed.
+/// engine's own rule when needed. The sweep calls it only right before a
+/// call it solves, so a horizon whose calls are all pruned builds nothing.
 using ModelAt = std::function<SweepModel&(int bound)>;
 
 /// Decides the transition-based relaxation at (`swaps`+1 blocks, <= `swaps`

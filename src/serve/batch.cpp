@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "circuit/dependency.h"
 #include "layout/certify.h"
 #include "layout/olsq2.h"
 #include "layout/tb.h"
@@ -98,9 +97,10 @@ void maybe_certify(const Request& request, const layout::Problem& canonical,
   }
   const double budget = request.options.time_budget_ms;
   if (request.engine == Engine::kDepth && entry.result.depth >= 1) {
-    const circuit::DependencyGraph deps(*canonical.circuit);
+    // A schedule of depth <= d-1 fits in horizon d, so the refutation needs
+    // no steps past the answer's depth.
     entry.depth_cert = layout::certify_depth_lower_bound(
-        canonical, deps.default_upper_bound(), entry.result.depth - 1,
+        canonical, entry.result.depth, entry.result.depth - 1,
         request.config, budget);
     entry.has_depth_cert = true;
   } else if (request.engine == Engine::kSwap && entry.result.swap_count >= 1) {

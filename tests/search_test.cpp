@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -257,6 +258,34 @@ TEST(SwapFloor, PrunedCallsSayWhy) {
   }
   obs::metrics::set_enabled(false);
   EXPECT_EQ(floor_pruned, 1.0);
+}
+
+TEST(SwapFloor, PrunedRelaxationBuildsNoModel) {
+  // TB on the 1-bit Cuccaro adder: the relaxation to 5 blocks has one
+  // descent step, pruned by the floor, so it must not encode a 5-block model.
+  const circuit::Circuit circ = bengen::cuccaro_adder(1);
+  const device::Device dev = device::grid(2, 3);
+  const Problem problem{&circ, &dev, 3};
+  obs::Trace::instance().begin_capture("");
+  const Result r = tb_synthesize_swap_optimal(problem);
+  const std::vector<obs::Event> events = obs::Trace::instance().snapshot();
+  obs::Trace::instance().end_capture();
+  ASSERT_TRUE(r.solved);
+  ASSERT_FALSE(r.calls.empty());
+  EXPECT_EQ(r.calls.back().depth_bound, 5);
+  EXPECT_EQ(r.calls.back().swap_bound, 2);
+  EXPECT_EQ(r.calls.back().status, 'P');
+
+  obs::TimeNs last_solve = -1;
+  for (const obs::Event& e : events) {
+    if (e.name == "tb.solve") last_solve = std::max(last_solve, e.ts);
+  }
+  ASSERT_GE(last_solve, 0);
+  for (const obs::Event& e : events) {
+    if (e.name == "tb.encode") {
+      EXPECT_LT(e.ts, last_solve);
+    }
+  }
 }
 
 TEST(FixedProbe, ExpiredDeadlineReturnsHitBudgetWithoutSolving) {

@@ -44,10 +44,10 @@ struct Pin {
 
 // clang-format off
 constexpr Pin kPins[] = {
-    {"toffoli/qx2/depth", "66d674641c68e841", "be4ecca0d4188e23"},
-    {"toffoli/qx2/depth/facts", "66d674641c68e841", "be4ecca0d4188e23"},
-    {"toffoli/qx2/depth/non-incremental", "66d674641c68e841", "be4ecca0d4188e23"},
-    {"toffoli/qx2/depth/non-incremental/facts", "66d674641c68e841", "be4ecca0d4188e23"},
+    {"toffoli/qx2/depth", "9332ec23e77fd37c", "f6e3113b4f58e6ce"},
+    {"toffoli/qx2/depth/facts", "9332ec23e77fd37c", "f6e3113b4f58e6ce"},
+    {"toffoli/qx2/depth/non-incremental", "9332ec23e77fd37c", "f6e3113b4f58e6ce"},
+    {"toffoli/qx2/depth/non-incremental/facts", "9332ec23e77fd37c", "f6e3113b4f58e6ce"},
     {"toffoli/qx2/swap", "a7557146fcb35717", "7750be79a88c0571"},
     {"toffoli/qx2/swap/facts", "a7557146fcb35717", "7750be79a88c0571"},
     {"toffoli/qx2/swap/non-incremental", "a7557146fcb35717", "7750be79a88c0571"},
@@ -61,45 +61,45 @@ constexpr Pin kPins[] = {
     {"toffoli/grid1x3/depth/facts", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
     {"toffoli/grid1x3/depth/non-incremental", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
     {"toffoli/grid1x3/depth/non-incremental/facts", "ea99d7fba7ce5a4a", "d75cfa120dac84e0"},
-    {"toffoli/grid1x3/swap", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
-    {"toffoli/grid1x3/swap/facts", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
-    {"toffoli/grid1x3/swap/non-incremental", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
-    {"toffoli/grid1x3/swap/non-incremental/facts", "ad9cbaeba43e0ac4", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/swap", "04c4f8769935bd54", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/swap/facts", "04c4f8769935bd54", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/swap/non-incremental", "04c4f8769935bd54", "92f3f109233ac5a1"},
+    {"toffoli/grid1x3/swap/non-incremental/facts", "04c4f8769935bd54", "92f3f109233ac5a1"},
     {"toffoli/grid1x3/tb-block", "5f595f5d4cf3861f", "07a7f9053f29f186"},
     {"toffoli/grid1x3/tb-block/facts", "5f595f5d4cf3861f", "07a7f9053f29f186"},
     {"toffoli/grid1x3/tb-swap", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
     {"toffoli/grid1x3/tb-swap/facts", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
     {"toffoli/grid1x3/ladder", "1ee0f99639a5c4d7", "07a7f9053f29f186"},
-    {"qaoa6/grid2x3/depth", "b148f83f7412f768", "f4cc14bdf83774c5"},
-    {"qaoa6/grid2x3/depth/facts", "fe51267084a3520d", "f4cc14bdf83774c5"},
-    {"qaoa6/grid2x3/depth/non-incremental", "ebc672f313366a2b", "ab7dfffdcfc0d02e"},
-    {"qaoa6/grid2x3/depth/non-incremental/facts", "37daf68238fa5b76", "ab7dfffdcfc0d02e"},
-    {"qaoa6/grid2x3/swap", "8e8fe0384d1b7e97", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/facts", "5e9eab57de5b30ec", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/non-incremental", "087faabc362a12c8", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/non-incremental/facts", "b921a4d5a04a9c67", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/depth", "ebc672f313366a2b", "ab7dfffdcfc0d02e"},
+    {"qaoa6/grid2x3/depth/facts", "37daf68238fa5b76", "ab7dfffdcfc0d02e"},
+    {"qaoa6/grid2x3/depth/non-incremental", "d8238edb5dd974e4", "a659909afbb70c01"},
+    {"qaoa6/grid2x3/depth/non-incremental/facts", "83ebbfa77b3bd189", "a659909afbb70c01"},
+    {"qaoa6/grid2x3/swap", "60edb484c6c27087", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/facts", "2b406655c0506fbe", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/non-incremental", "8e8fe0384d1b7e97", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/non-incremental/facts", "5e9eab57de5b30ec", "98159c90624a6d84"},
     {"qaoa6/grid2x3/tb-block", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
     {"qaoa6/grid2x3/tb-block/facts", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
     {"qaoa6/grid2x3/tb-swap", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
     {"qaoa6/grid2x3/tb-swap/facts", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
     {"qaoa6/grid2x3/ladder", "d16b657160fa9e50", "77865603cc49b0f4"},
-    {"qft4/grid1x4/depth", "835e0d580fa5d6e2", "dbd2957bc89783c5"},
-    {"qft4/grid1x4/depth/facts", "319d09431d959e55", "dbd2957bc89783c5"},
-    {"qft4/grid1x4/depth/non-incremental", "835e0d580fa5d6e2", "dbd2957bc89783c5"},
-    {"qft4/grid1x4/depth/non-incremental/facts", "319d09431d959e55", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth", "12b0c4062e7fa49d", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth/facts", "0e81bf4bce52f2ea", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth/non-incremental", "d2e5b73544415599", "928480bba020df2e"},
+    {"qft4/grid1x4/depth/non-incremental/facts", "d4ff013a6240c87e", "928480bba020df2e"},
     {"qft4/grid1x4/swap", "a3edc41b1a6033f9", "52568ac59dacc4a8"},
     {"qft4/grid1x4/swap/facts", "158897b5407c7644", "52568ac59dacc4a8"},
-    {"qft4/grid1x4/swap/non-incremental", "083cbd40c6a04077", "52568ac59dacc4a8"},
-    {"qft4/grid1x4/swap/non-incremental/facts", "c5606ecacfa06d8c", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/non-incremental", "a3edc41b1a6033f9", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/non-incremental/facts", "158897b5407c7644", "52568ac59dacc4a8"},
     {"qft4/grid1x4/tb-block", "008afe9ce3d587a4", "18476a79b99b2efa"},
     {"qft4/grid1x4/tb-block/facts", "008afe9ce3d587a4", "18476a79b99b2efa"},
     {"qft4/grid1x4/tb-swap", "3030bef6e81865dd", "cf5327f123981323"},
     {"qft4/grid1x4/tb-swap/facts", "3030bef6e81865dd", "cf5327f123981323"},
     {"qft4/grid1x4/ladder", "5a1c56d9e5d26a99", "18476a79b99b2efa"},
-    {"queko4/grid2x3/depth", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
-    {"queko4/grid2x3/depth/facts", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
-    {"queko4/grid2x3/depth/non-incremental", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
-    {"queko4/grid2x3/depth/non-incremental/facts", "737ee4806d37b8f2", "b56b3b4fd32e3eec"},
+    {"queko4/grid2x3/depth", "3512a7785dd84ca9", "c81706728115cfcf"},
+    {"queko4/grid2x3/depth/facts", "3512a7785dd84ca9", "c81706728115cfcf"},
+    {"queko4/grid2x3/depth/non-incremental", "3512a7785dd84ca9", "c81706728115cfcf"},
+    {"queko4/grid2x3/depth/non-incremental/facts", "3512a7785dd84ca9", "c81706728115cfcf"},
     {"queko4/grid2x3/swap", "5af91108bf4dbcb5", "d8896e8da2e45323"},
     {"queko4/grid2x3/swap/facts", "5af91108bf4dbcb5", "d8896e8da2e45323"},
     {"queko4/grid2x3/swap/non-incremental", "5af91108bf4dbcb5", "d8896e8da2e45323"},
