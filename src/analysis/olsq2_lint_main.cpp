@@ -8,9 +8,12 @@
 //     --no-card-audit     skip the standalone cardinality-encoder audits
 //
 // For every circuit the tool builds each encoder variant's CNF (pairwise /
-// channeling / AMO injectivity on bit-vector variables, plus the one-hot
-// variable encoding), lints the emitted clauses, and semantically audits
-// the injectivity obligations through the model's own solver. Standalone
+// channeling / AMO injectivity on bit-vector variables, the one-hot
+// variable encoding, and the OLSQ baseline's space variables) in both
+// formulations - time-resolved at T_UB steps and transition-based at the 4
+// blocks the TB engines' first model has - lints the emitted clauses, and
+// semantically audits the injectivity obligations through the model's own
+// solver. Standalone
 // audits verify the three at-most-k encoders (exhaustive small-n sweep,
 // windowed structural checks at scale). The combined report is one JSON
 // document on stdout; exit code 0 iff no errors. CI runs this over the
@@ -126,33 +129,45 @@ int run(const Options& options) {
     const layout::Problem problem{&circ, &dev, options.swap_duration};
     const circuit::DependencyGraph deps(circ);
     const int t_ub = deps.default_upper_bound();
+    constexpr int kBlocks = 4;
 
-    std::vector<layout::EncodingConfig> configs(4);
+    std::vector<layout::EncodingConfig> configs(5);
     configs[1].injectivity = layout::InjectivityEncoding::kChanneling;
     configs[2].injectivity = layout::InjectivityEncoding::kAmoPerQubit;
     configs[3].vars = layout::VarEncoding::kOneHot;
+    configs[4].formulation = layout::Formulation::kOlsqBaseline;
 
-    for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-      layout::Model model(problem, t_ub, configs[ci], /*proof=*/nullptr,
-                          /*log_clauses=*/true);
-      const analysis::LintReport lint =
-          analysis::lint_cnf(model.solver().num_vars(),
-                             model.solver().clause_log());
-      const auto obligations = model.injectivity_obligations();
-      const analysis::AuditResult injectivity =
-          analysis::audit_mutual_exclusion(model.solver(), obligations,
-                                           options.max_pairs);
-      total_errors += lint.errors + (injectivity.ok ? 0 : 1);
-      if (ci > 0) out << ",";
-      out << "{\"label\":\"" << obs::json_escape(configs[ci].label())
-          << "\",\"t_ub\":" << t_ub << ",\"lint\":" << lint.to_json()
-          << ",\"injectivity\":" << audit_to_json(injectivity) << "}";
-      std::cerr << "[olsq2-lint] " << file << " " << configs[ci].label()
-                << ": " << lint.errors << " lint errors, " << lint.warnings
-                << " warnings; injectivity "
-                << (injectivity.ok ? "ok" : "VIOLATED") << " ("
-                << injectivity.checks << " pairs checked, "
-                << injectivity.skipped << " sampled out)\n";
+    bool first = true;
+    for (const layout::SearchEngine engine :
+         {layout::SearchEngine::kTimeResolved,
+          layout::SearchEngine::kTransitionBased}) {
+      const bool tb = engine == layout::SearchEngine::kTransitionBased;
+      const int horizon = tb ? kBlocks : t_ub;
+      for (const layout::EncodingConfig& config : configs) {
+        layout::Model model(engine, problem, horizon, config,
+                            /*proof=*/nullptr, /*log_clauses=*/true);
+        const analysis::LintReport lint =
+            analysis::lint_cnf(model.solver().num_vars(),
+                               model.solver().clause_log());
+        const auto obligations = model.injectivity_obligations();
+        const analysis::AuditResult injectivity =
+            analysis::audit_mutual_exclusion(model.solver(), obligations,
+                                             options.max_pairs);
+        total_errors += lint.errors + (injectivity.ok ? 0 : 1);
+        const std::string label = (tb ? "TB-" : "") + config.label();
+        if (!first) out << ",";
+        first = false;
+        out << "{\"label\":\"" << obs::json_escape(label) << "\",\""
+            << (tb ? "blocks" : "t_ub") << "\":" << horizon
+            << ",\"lint\":" << lint.to_json()
+            << ",\"injectivity\":" << audit_to_json(injectivity) << "}";
+        std::cerr << "[olsq2-lint] " << file << " " << label << ": "
+                  << lint.errors << " lint errors, " << lint.warnings
+                  << " warnings; injectivity "
+                  << (injectivity.ok ? "ok" : "VIOLATED") << " ("
+                  << injectivity.checks << " pairs checked, "
+                  << injectivity.skipped << " sampled out)\n";
+      }
     }
     out << "]}";
   }

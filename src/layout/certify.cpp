@@ -1,8 +1,7 @@
 #include "layout/certify.h"
 
-#include <chrono>
-
 #include "layout/model.h"
+#include "layout/search.h"
 #include "sat/drat_check.h"
 
 namespace olsq2::layout {
@@ -10,13 +9,9 @@ namespace olsq2::layout {
 namespace {
 
 Certificate run_certification(Model& model, sat::Proof& proof,
-                              double time_budget_ms,
-                              const std::chrono::steady_clock::time_point start) {
+                              const Deadline& deadline) {
   Certificate cert;
-  if (time_budget_ms > 0) {
-    model.solver().set_time_budget(std::chrono::milliseconds(
-        static_cast<std::int64_t>(time_budget_ms)));
-  }
+  deadline.arm(model.solver());
   const sat::LBool status = model.solver().solve();
   cert.infeasible = status == sat::LBool::kFalse;
   cert.proof_steps = proof.size();
@@ -26,9 +21,7 @@ Certificate run_certification(Model& model, sat::Proof& proof,
     cert.proof_checked = check.all_steps_valid;
     cert.refutation_complete = check.proves_unsat;
   }
-  cert.wall_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
+  cert.wall_ms = deadline.elapsed_ms();
   return cert;
 }
 
@@ -38,24 +31,24 @@ Certificate certify_depth_lower_bound(const Problem& problem, int t_ub,
                                       int depth_bound,
                                       const EncodingConfig& config,
                                       double time_budget_ms) {
-  const auto start = std::chrono::steady_clock::now();
+  const Deadline deadline(time_budget_ms);
   Certificate cert;
   if (depth_bound >= t_ub) return cert;  // bound vacuous within this horizon
   sat::Proof proof;
   Model model(problem, t_ub, config, &proof, /*log_clauses=*/true);
   model.solver().add_clause({model.depth_bound(depth_bound)});
-  return run_certification(model, proof, time_budget_ms, start);
+  return run_certification(model, proof, deadline);
 }
 
 Certificate certify_swap_lower_bound(const Problem& problem, int t_ub,
                                      int swap_bound,
                                      const EncodingConfig& config,
                                      double time_budget_ms) {
-  const auto start = std::chrono::steady_clock::now();
+  const Deadline deadline(time_budget_ms);
   sat::Proof proof;
   Model model(problem, t_ub, config, &proof, /*log_clauses=*/true);
   model.assert_swap_bound_hard(swap_bound, config.cardinality);
-  return run_certification(model, proof, time_budget_ms, start);
+  return run_certification(model, proof, deadline);
 }
 
 }  // namespace olsq2::layout

@@ -54,10 +54,19 @@ std::string EncodingConfig::label() const {
 
 Model::Model(const Problem& problem, int t_ub, const EncodingConfig& config,
              sat::Proof* proof, bool log_clauses)
-    : problem_(problem),
+    : Model(SearchEngine::kTimeResolved, problem, t_ub, config, proof,
+            log_clauses) {}
+
+Model::Model(SearchEngine engine, const Problem& problem, int horizon,
+             const EncodingConfig& config, sat::Proof* proof,
+             bool log_clauses)
+    : engine_(engine),
       circ_(*problem.circuit),
       dev_(*problem.device),
-      t_ub_(t_ub),
+      horizon_(horizon),
+      swap_steps_(engine == SearchEngine::kTransitionBased
+                      ? 1
+                      : problem.swap_duration),
       config_(config),
       builder_(solver_),
       deps_(circ_) {
@@ -69,13 +78,16 @@ Model::Model(const Problem& problem, int t_ub, const EncodingConfig& config,
                                 ") than the device has physical qubits (" +
                                 std::to_string(dev_.num_qubits()) + ")");
   }
-  if (t_ub_ < deps_.longest_chain()) {
-    throw std::invalid_argument("layout: depth horizon below the dependency "
-                                "lower bound T_LB");
+  const bool tb = transition_based();
+  if (tb ? horizon_ < 1 : horizon_ < deps_.longest_chain()) {
+    throw std::invalid_argument(tb ? "layout: a transition-based model needs "
+                                     "at least one block"
+                                   : "layout: depth horizon below the "
+                                     "dependency lower bound T_LB");
   }
   // Encoding is timed separately from solving: on large horizons CNF
   // generation is its own hot phase.
-  obs::Span span("olsq2.encode");
+  obs::Span span(tb ? "tb.encode" : "olsq2.encode");
   build_variables();
   build_injectivity();
   build_dependencies();
@@ -83,34 +95,41 @@ Model::Model(const Problem& problem, int t_ub, const EncodingConfig& config,
   if (config_.formulation == Formulation::kOlsqBaseline) {
     build_space_consistency();
   }
-  build_mapping_transitions();
-  build_swap_swap_exclusion();
-  build_swap_gate_exclusion();
+  if (tb) {
+    build_layer_transitions();
+  } else {
+    build_mapping_transitions();
+    build_swap_swap_exclusion();
+    build_swap_gate_exclusion();
+  }
 
   // Domain-guided phase hints (paper §V): bias the search toward the
-  // identity mapping and an ASAP schedule. Never constrains the model.
+  // identity mapping and an ASAP schedule (every gate in block 0 for TB).
+  // Never constrains the model.
   for (int q = 0; q < circ_.num_qubits(); ++q) {
-    for (int t = 0; t < t_ub_; ++t) pi_[q][t].suggest(solver_, q);
+    for (int t = 0; t < horizon_; ++t) pi_[q][t].suggest(solver_, q);
   }
   for (int g = 0; g < circ_.num_gates(); ++g) {
-    time_[g].suggest(solver_, deps_.chain_depth(g) - 1);
+    time_[g].suggest(solver_, tb ? 0 : deps_.chain_depth(g) - 1);
   }
+  const char* horizon_key = tb ? "max_blocks" : "t_ub";
   if (span.live()) {
-    span.arg("t_ub", t_ub_);
+    span.arg(horizon_key, horizon_);
     span.arg("vars", solver_.num_vars());
     span.arg("clauses", static_cast<std::int64_t>(solver_.num_clauses()));
   }
 
   if (lint_encodings_enabled()) {
+    const std::string label = (tb ? "TB-" : "") + config_.label();
     const analysis::LintReport report =
         analysis::lint_cnf(solver_.num_vars(), solver_.clause_log());
-    std::cerr << "[olsq2-lint] " << config_.label() << " t_ub=" << t_ub_
-              << ": " << report.errors << " errors, " << report.warnings
-              << " warnings, " << report.infos << " infos over "
-              << report.num_clauses << " clauses\n";
+    std::cerr << "[olsq2-lint] " << label << ' ' << horizon_key << '='
+              << horizon_ << ": " << report.errors << " errors, "
+              << report.warnings << " warnings, " << report.infos
+              << " infos over " << report.num_clauses << " clauses\n";
     if (!report.ok()) {
-      throw std::logic_error("encoding lint failed for " + config_.label() +
-                             ": " + report.to_json());
+      throw std::logic_error("encoding lint failed for " + label + ": " +
+                             report.to_json());
     }
   }
 }
@@ -121,29 +140,32 @@ void Model::build_variables() {
 
   pi_.resize(num_q);
   for (int q = 0; q < num_q; ++q) {
-    pi_[q].reserve(t_ub_);
-    for (int t = 0; t < t_ub_; ++t) {
+    pi_[q].reserve(horizon_);
+    for (int t = 0; t < horizon_; ++t) {
       pi_[q].push_back(FdVar::make(builder_, num_p, config_.vars));
     }
   }
 
   time_.reserve(circ_.num_gates());
   for (int g = 0; g < circ_.num_gates(); ++g) {
-    time_.push_back(FdVar::make(builder_, t_ub_, config_.vars));
+    time_.push_back(FdVar::make(builder_, horizon_, config_.vars));
   }
 
   // SWAP variables are Boolean in every configuration (paper §II-C). A SWAP
   // finishing at t occupies [t - S_D + 1, t], so t < S_D - 1 is impossible.
+  // Those slots hold the constant false, except in transition-based mode,
+  // whose CNF has no constant for its one unused slot (block 0).
   sigma_.resize(dev_.num_edges());
   for (int e = 0; e < dev_.num_edges(); ++e) {
-    sigma_[e].reserve(t_ub_);
-    for (int t = 0; t < t_ub_; ++t) {
+    sigma_[e].reserve(horizon_);
+    for (int t = 0; t < horizon_; ++t) {
       if (sigma_is_real(t)) {
         const Lit l = builder_.new_lit();
         sigma_[e].push_back(l);
         sigma_flat_.push_back(l);
       } else {
-        sigma_[e].push_back(builder_.false_lit());
+        sigma_[e].push_back(transition_based() ? sat::kUndefLit
+                                               : builder_.false_lit());
       }
     }
   }
@@ -151,8 +173,8 @@ void Model::build_variables() {
   if (config_.injectivity == InjectivityEncoding::kChanneling) {
     pi_inv_.resize(num_p);
     for (int p = 0; p < num_p; ++p) {
-      pi_inv_[p].reserve(t_ub_);
-      for (int t = 0; t < t_ub_; ++t) {
+      pi_inv_[p].reserve(horizon_);
+      for (int t = 0; t < horizon_; ++t) {
         pi_inv_[p].push_back(FdVar::make(builder_, num_q, config_.vars));
       }
     }
@@ -171,7 +193,7 @@ void Model::build_variables() {
 void Model::build_injectivity() {
   const int num_q = circ_.num_qubits();
   const int num_p = dev_.num_qubits();
-  for (int t = 0; t < t_ub_; ++t) {
+  for (int t = 0; t < horizon_; ++t) {
     if (config_.injectivity == InjectivityEncoding::kChanneling) {
       // pi_inv(pi(q,t), t) = q: mapping q to p forces the inverse at p to
       // name q, so no two program qubits can share a physical qubit.
@@ -208,8 +230,14 @@ void Model::build_injectivity() {
 }
 
 void Model::build_dependencies() {
+  // Dependent gates may share a block (the mapping is constant inside one),
+  // so transition-based ordering weakens to t_g <= t_g' (paper §III-D).
   for (const auto& [earlier, later] : deps_.pairs()) {
-    time_[earlier].assert_lt(builder_, time_[later]);
+    if (transition_based()) {
+      time_[earlier].assert_le(builder_, time_[later]);
+    } else {
+      time_[earlier].assert_lt(builder_, time_[later]);
+    }
   }
 }
 
@@ -221,7 +249,10 @@ void Model::build_two_qubit_adjacency() {
   for (int g = 0; g < circ_.num_gates(); ++g) {
     const circuit::Gate& gate = circ_.gate(g);
     if (!gate.is_two_qubit()) continue;
-    for (int t = 0; t < t_ub_; ++t) {
+    for (int t = 0; t < horizon_; ++t) {
+      // Transition-based mode creates the step literal before the
+      // arrangements, as its CNF always has; the imply below hits the cache.
+      if (transition_based()) time_[g].eq(builder_, t);
       std::vector<Lit> arrangements;
       arrangements.reserve(2 * dev_.num_edges());
       for (const device::Edge& e : dev_.edges()) {
@@ -244,7 +275,7 @@ void Model::build_space_consistency() {
   for (int g = 0; g < circ_.num_gates(); ++g) {
     const circuit::Gate& gate = circ_.gate(g);
     if (gate.is_two_qubit()) {
-      for (int t = 0; t < t_ub_; ++t) {
+      for (int t = 0; t < horizon_; ++t) {
         const Lit at_t = time_[g].eq(builder_, t);
         for (int e = 0; e < dev_.num_edges(); ++e) {
           const device::Edge& edge = dev_.edge(e);
@@ -257,7 +288,7 @@ void Model::build_space_consistency() {
         }
       }
     } else {
-      for (int t = 0; t < t_ub_; ++t) {
+      for (int t = 0; t < horizon_; ++t) {
         const Lit at_t = time_[g].eq(builder_, t);
         for (int p = 0; p < dev_.num_qubits(); ++p) {
           builder_.add({~at_t, ~space_[g].eq(builder_, p),
@@ -269,40 +300,40 @@ void Model::build_space_consistency() {
 }
 
 void Model::build_mapping_transitions() {
+  for (int q = 0; q < circ_.num_qubits(); ++q) {
+    for (int t = 1; t < horizon_; ++t) build_mapping_update(q, t);
+  }
+}
+
+void Model::build_mapping_update(int q, int t) {
   // Paper constraint (4): the mapping evolves only through SWAPs.
-  const int num_q = circ_.num_qubits();
-  const int num_p = dev_.num_qubits();
-  for (int q = 0; q < num_q; ++q) {
-    for (int t = 1; t < t_ub_; ++t) {
-      // Stay: if no SWAP finishing at t touches p, the occupant remains.
-      for (int p = 0; p < num_p; ++p) {
-        std::vector<Lit> clause;
-        clause.push_back(~pi_[q][t - 1].eq(builder_, p));
-        for (const int e : dev_.edges_at(p)) {
-          if (sigma_is_real(t)) clause.push_back(sigma_[e][t]);
-        }
-        clause.push_back(pi_[q][t].eq(builder_, p));
-        builder_.add(std::move(clause));
-      }
-      // Move: a SWAP finishing at t carries the occupant across its edge.
-      if (!sigma_is_real(t)) continue;
-      for (int e = 0; e < dev_.num_edges(); ++e) {
-        const device::Edge& edge = dev_.edge(e);
-        builder_.add({~sigma_[e][t], ~pi_[q][t - 1].eq(builder_, edge.p0),
-                      pi_[q][t].eq(builder_, edge.p1)});
-        builder_.add({~sigma_[e][t], ~pi_[q][t - 1].eq(builder_, edge.p1),
-                      pi_[q][t].eq(builder_, edge.p0)});
-      }
+  // Stay: if no SWAP finishing at t touches p, the occupant remains.
+  for (int p = 0; p < dev_.num_qubits(); ++p) {
+    std::vector<Lit> clause;
+    clause.push_back(~pi_[q][t - 1].eq(builder_, p));
+    for (const int e : dev_.edges_at(p)) {
+      if (sigma_is_real(t)) clause.push_back(sigma_[e][t]);
     }
+    clause.push_back(pi_[q][t].eq(builder_, p));
+    builder_.add(std::move(clause));
+  }
+  // Move: a SWAP finishing at t carries the occupant across its edge.
+  if (!sigma_is_real(t)) return;
+  for (int e = 0; e < dev_.num_edges(); ++e) {
+    const device::Edge& edge = dev_.edge(e);
+    builder_.add({~sigma_[e][t], ~pi_[q][t - 1].eq(builder_, edge.p0),
+                  pi_[q][t].eq(builder_, edge.p1)});
+    builder_.add({~sigma_[e][t], ~pi_[q][t - 1].eq(builder_, edge.p1),
+                  pi_[q][t].eq(builder_, edge.p0)});
   }
 }
 
 void Model::build_swap_swap_exclusion() {
   // Two SWAPs sharing a physical qubit may not overlap in time.
-  const int sd = problem_.swap_duration;
+  const int sd = swap_steps_;
   for (int e = 0; e < dev_.num_edges(); ++e) {
     const device::Edge& edge = dev_.edge(e);
-    for (int t = std::max(1, sd - 1); t < t_ub_; ++t) {
+    for (int t = std::max(1, sd - 1); t < horizon_; ++t) {
       for (int e2 = 0; e2 < dev_.num_edges(); ++e2) {
         const device::Edge& other = dev_.edge(e2);
         const bool shares = other.touches(edge.p0) || other.touches(edge.p1);
@@ -321,7 +352,7 @@ void Model::build_swap_gate_exclusion() {
   // Eq. 2-3: a SWAP finishing at t on edge e excludes gates during
   // (t - S_D, t] on any qubit mapped to e's endpoints. The baseline
   // formulation phrases the same rule through space variables.
-  const int sd = problem_.swap_duration;
+  const int sd = swap_steps_;
   const bool baseline = config_.formulation == Formulation::kOlsqBaseline;
   for (int e = 0; e < dev_.num_edges(); ++e) {
     const device::Edge& edge = dev_.edge(e);
@@ -335,7 +366,7 @@ void Model::build_swap_gate_exclusion() {
         }
       }
     }
-    for (int t = std::max(1, sd - 1); t < t_ub_; ++t) {
+    for (int t = std::max(1, sd - 1); t < horizon_; ++t) {
       const Lit swap_lit = sigma_[e][t];
       for (int t2 = std::max(0, t - sd + 1); t2 <= t; ++t2) {
         for (int g = 0; g < circ_.num_gates(); ++g) {
@@ -368,15 +399,39 @@ void Model::build_swap_gate_exclusion() {
   }
 }
 
+void Model::build_layer_transitions() {
+  // One SWAP layer per block transition, then the mapping update across it.
+  for (int t = 1; t < horizon_; ++t) {
+    // SWAPs within one layer must not share a qubit.
+    for (int e = 0; e < dev_.num_edges(); ++e) {
+      const device::Edge& edge = dev_.edge(e);
+      for (int e2 = e + 1; e2 < dev_.num_edges(); ++e2) {
+        const device::Edge& other = dev_.edge(e2);
+        if (other.touches(edge.p0) || other.touches(edge.p1)) {
+          builder_.add({~sigma_[e][t], ~sigma_[e2][t]});
+        }
+      }
+    }
+    for (int q = 0; q < circ_.num_qubits(); ++q) build_mapping_update(q, t);
+  }
+}
+
 Lit Model::depth_bound(int t_b) {
   assert(t_b >= 1);
-  if (t_b >= t_ub_) return builder_.true_lit();
+  if (t_b >= horizon_) return builder_.true_lit();
   if (auto it = depth_bound_cache_.find(t_b); it != depth_bound_cache_.end()) {
     return it->second;
   }
   std::vector<Lit> bounds;
   bounds.reserve(time_.size());
   for (const FdVar& tg : time_) bounds.push_back(tg.le(builder_, t_b - 1));
+  // Unused transition layers must stay SWAP-free so the block bound also
+  // caps where SWAPs may appear.
+  if (transition_based()) {
+    for (int e = 0; e < dev_.num_edges(); ++e) {
+      for (int t = t_b; t < horizon_; ++t) bounds.push_back(~sigma_[e][t]);
+    }
+  }
   const Lit lit = builder_.mk_and(bounds);
   depth_bound_cache_.emplace(t_b, lit);
   return lit;
@@ -394,7 +449,7 @@ void Model::materialize_bounds(bool with_swaps) {
   // Pin the constant-true literal first: out-of-range bound queries return
   // it, so it belongs to the canonical prefix too.
   builder_.true_lit();
-  for (int t_b = 1; t_b < t_ub_; ++t_b) depth_bound(t_b);
+  for (int t_b = 1; t_b < horizon_; ++t_b) depth_bound(t_b);
   if (with_swaps) swap_bound(0);
 }
 
@@ -414,11 +469,13 @@ void Model::assert_swap_bound_hard(int s_b, CardEncoding encoding) {
 }
 
 Result Model::extract() const {
-  obs::Span span("olsq2.decode");
+  const bool tb = transition_based();
+  obs::Span span(tb ? "tb.decode" : "olsq2.decode");
   Result r;
   r.solved = true;
+  r.transition_based = tb;
   r.gate_time.resize(circ_.num_gates());
-  int depth = 0;
+  int depth = tb ? 1 : 0;  // a TB result has at least one block
   for (int g = 0; g < circ_.num_gates(); ++g) {
     r.gate_time[g] = time_[g].decode(solver_);
     depth = std::max(depth, r.gate_time[g] + 1);
@@ -433,7 +490,8 @@ Result Model::extract() const {
   for (int e = 0; e < dev_.num_edges(); ++e) {
     for (int t = 0; t < depth; ++t) {
       if (sigma_is_real(t) && solver_.model_bool(sigma_[e][t])) {
-        r.swaps.push_back({e, t});
+        // A TB SWAP is named by the block it leaves.
+        r.swaps.push_back({e, tb ? t - 1 : t});
       }
     }
   }
@@ -447,9 +505,9 @@ std::vector<std::pair<Lit, Lit>> Model::injectivity_obligations() {
   std::vector<std::pair<Lit, Lit>> pairs;
   const int num_q = circ_.num_qubits();
   const int num_p = dev_.num_qubits();
-  pairs.reserve(static_cast<std::size_t>(t_ub_) * num_p * num_q *
+  pairs.reserve(static_cast<std::size_t>(horizon_) * num_p * num_q *
                 (num_q - 1) / 2);
-  for (int t = 0; t < t_ub_; ++t) {
+  for (int t = 0; t < horizon_; ++t) {
     for (int q = 0; q < num_q; ++q) {
       for (int r = q + 1; r < num_q; ++r) {
         for (int p = 0; p < num_p; ++p) {

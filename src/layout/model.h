@@ -1,11 +1,22 @@
-// Time-resolved SAT model for layout synthesis (paper §III-A), covering
-// both the succinct OLSQ2 formulation and the original OLSQ formulation
-// with per-gate space variables (for the Table I/II baselines).
+// The SAT model for layout synthesis in both of the paper's formulations,
+// each either succinct (OLSQ2) or with the original OLSQ's per-gate space
+// variables (the Table I/II baselines).
 //
-// Variables (OLSQ2):
-//   pi[q][t]   mapping variable: physical qubit of program qubit q at t
-//   time[g]    execution time step of gate g
+// Time-resolved (OLSQ2, paper §III-A; SearchEngine::kTimeResolved):
+//   pi[q][t]    mapping variable: physical qubit of program qubit q at t
+//   time[g]     execution time step of gate g
 //   sigma[e][t] SWAP on edge e finishing at time t
+// Transition-based (TB-OLSQ2, paper §III-D; SearchEngine::kTransitionBased)
+// is the same model with time coarsened to blocks: the mapping is fixed
+// inside a block and SWAPs form one layer per block transition. It differs
+// in five places:
+//   - a SWAP occupies one step, so sigma[e][k] is the layer entering
+//     block k and extract() names it by the block it leaves, k-1;
+//   - dependent gates may share a block: t_g <= t_g' instead of t_g < t_g';
+//   - SWAPs of one layer exclude each other and the SWAP/gate exclusion
+//     (Eq. 2-3) vanishes;
+//   - the phase hint puts every gate in block 0 instead of ASAP;
+//   - depth_bound(b) also keeps the SWAP layers at blocks >= b empty.
 // The OLSQ baseline additionally materializes a space variable x[g] per
 // gate (edge index for two-qubit gates, physical qubit for single-qubit
 // gates) and the consistency constraints tying x to pi and time - exactly
@@ -27,27 +38,36 @@
 
 namespace olsq2::layout {
 
-class Model : public SweepModel {
+class Model {
  public:
-  /// Build the full constraint system for depths 0..t_ub-1. Any schedule of
-  /// depth <= t_ub fits, so the optimizers pass the depth bound a model
-  /// answers as `t_ub`. When `proof` is non-null the solver logs a DRAT
-  /// proof, and when `log_clauses` is set the original CNF is retained
+  /// Build the time-resolved constraint system for depths 0..t_ub-1. Any
+  /// schedule of depth <= t_ub fits, so the optimizers pass the depth bound
+  /// a model answers as `t_ub`. When `proof` is non-null the solver logs a
+  /// DRAT proof, and when `log_clauses` is set the original CNF is retained
   /// (both needed for certification and DIMACS export; they must be armed
   /// before constraints are emitted, hence constructor parameters).
   Model(const Problem& problem, int t_ub, const EncodingConfig& config,
         sat::Proof* proof = nullptr, bool log_clauses = false);
 
-  sat::Solver& solver() override { return solver_; }
-  int t_ub() const { return t_ub_; }
+  /// Build the model `engine` searches: time-resolved over `horizon` steps
+  /// (as above) or transition-based over `horizon` blocks.
+  Model(SearchEngine engine, const Problem& problem, int horizon,
+        const EncodingConfig& config, sat::Proof* proof = nullptr,
+        bool log_clauses = false);
 
-  /// Assumption literal enforcing depth <= t_b (all t_g < t_b). Cached.
+  sat::Solver& solver() { return solver_; }
+  SearchEngine engine() const { return engine_; }
+  /// Time steps, or blocks in transition-based mode.
+  int horizon() const { return horizon_; }
+
+  /// Assumption literal enforcing depth <= t_b (all t_g < t_b); in
+  /// transition-based mode also no SWAP layer at or after block t_b.
+  /// Cached.
   Lit depth_bound(int t_b);
-  Lit horizon_bound(int t_b) override { return depth_bound(t_b); }
 
   /// Assumption literal enforcing total SWAP count <= s_b via a totalizer
   /// (built on first use).
-  Lit swap_bound(int s_b) override;
+  Lit swap_bound(int s_b);
 
   /// Hard-assert the SWAP bound with the chosen one-shot encoding
   /// (sequential counter or adder network) - Table II configurations.
@@ -61,8 +81,9 @@ class Model : public SweepModel {
   void materialize_bounds(bool with_swaps);
 
   /// Decode the current model into a Result (call after a SAT answer).
-  /// Swaps finishing at or after the final depth are dropped as inert.
-  Result extract() const override;
+  /// Swaps finishing at or after the final depth are dropped as inert. A
+  /// transition-based result has `depth` = its block count.
+  Result extract() const;
 
   /// Number of SWAP variables that are true in the current model.
   int count_swaps() const;
@@ -81,20 +102,25 @@ class Model : public SweepModel {
   void build_two_qubit_adjacency();      // OLSQ2 Eq. 1
   void build_space_consistency();        // OLSQ baseline extra constraints
   void build_mapping_transitions();      // paper constraint (4)
+  void build_mapping_update(int q, int t);  // ... for q on t-1 -> t
   void build_swap_swap_exclusion();
   void build_swap_gate_exclusion();      // Eq. 2-3 (or space-var variant)
+  void build_layer_transitions();        // transition-based mode
 
-  Lit sigma(int e, int t) const { return sigma_[e][t]; }
+  bool transition_based() const {
+    return engine_ == SearchEngine::kTransitionBased;
+  }
   // A SWAP finishing at t occupies [t-S_D+1, t] and takes effect on the
   // t-1 -> t transition, so t must be >= max(1, S_D-1).
   bool sigma_is_real(int t) const {
-    return t >= problem_.swap_duration - 1 && t >= 1;
+    return t >= swap_steps_ - 1 && t >= 1;
   }
 
-  const Problem& problem_;
+  SearchEngine engine_;
   const circuit::Circuit& circ_;
   const device::Device& dev_;
-  int t_ub_;
+  int horizon_;
+  int swap_steps_;  // S_D; 1 in transition-based mode
   EncodingConfig config_;
 
   sat::Solver solver_;

@@ -143,10 +143,10 @@ Result synthesize_swap_optimal(const Problem& problem,
   }
 
   // Relaxing past the model's horizon regenerates it at exactly the bound
-  // asked for; depth_bound(t_ub()) is already the true literal.
+  // asked for; depth_bound(horizon()) is already the true literal.
   std::unique_ptr<Model> model = std::move(outcome.model);
-  const ModelAt model_at = [&](int depth_bound) -> SweepModel& {
-    if (depth_bound > model->t_ub()) {
+  const ModelAt model_at = [&](int depth_bound) -> Model& {
+    if (depth_bound > model->horizon()) {
       model = make_configured_model(problem, depth_bound, config, options,
                                     /*with_swaps=*/true);
     }
@@ -156,10 +156,9 @@ Result synthesize_swap_optimal(const Problem& problem,
   const FloorProbe floor_probe = [&](int swaps) {
     return tb_floor_probe(problem, swaps, config, deadline, diag);
   };
-  Result best = sweep_swaps(SearchEngine::kTimeResolved, *model, model_at,
-                            outcome.best, outcome.best.depth,
-                            FactHub{options.facts}, floor_probe, deadline,
-                            diag);
+  Result best = sweep_swaps(*model, model_at, outcome.best,
+                            outcome.best.depth, FactHub{options.facts},
+                            floor_probe, deadline, diag);
   finish(best, diag, deadline);
   return best;
 }
@@ -170,17 +169,8 @@ Result solve_fixed(const Problem& problem, int t_ub, int swap_bound,
   span.arg("t_ub", t_ub);
   Result diag;
   Result result;
-  if (!deadline.expired()) {
-    Model model(problem, t_ub, config);
-    if (swap_bound >= 0) {
-      model.assert_swap_bound_hard(swap_bound, config.cardinality);
-    }
-    if (solve_call(SearchEngine::kTimeResolved, model.solver(), {},
-                   /*bound=*/-1, swap_bound, deadline,
-                   diag) == sat::LBool::kTrue) {
-      result = model.extract();
-    }
-  }
+  decide_fixed(SearchEngine::kTimeResolved, problem, t_ub, swap_bound, config,
+               deadline, diag, &result);
   finish(result, diag, deadline);
   return result;
 }

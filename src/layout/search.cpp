@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "layout/model.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 
@@ -208,6 +209,24 @@ sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
   return status;
 }
 
+sat::LBool decide_fixed(SearchEngine engine, const Problem& problem,
+                        int horizon, int swap_bound,
+                        const EncodingConfig& config, const Deadline& deadline,
+                        Result& diag, Result* solution) {
+  if (deadline.expired()) return sat::LBool::kUndef;
+  Model model(engine, problem, horizon, config);
+  if (swap_bound >= 0) {
+    model.assert_swap_bound_hard(swap_bound, config.cardinality);
+  }
+  const sat::LBool status = solve_call(engine, model.solver(), {},
+                                       /*bound=*/-1, swap_bound, deadline,
+                                       diag);
+  if (status == sat::LBool::kTrue && solution != nullptr) {
+    *solution = model.extract();
+  }
+  return status;
+}
+
 void record_pruned(Result& diag, int bound, int swap_bound,
                    PruneReason reason) {
   SolveCall call;
@@ -234,11 +253,12 @@ void record_pruned(Result& diag, int bound, int swap_bound,
   }
 }
 
-Result sweep_swaps(SearchEngine engine, SweepModel& model,
-                   const ModelAt& model_at, Result best, int bound,
-                   const FactHub& facts, const FloorProbe& floor_probe,
-                   const Deadline& deadline, Result& diag) {
-  SweepModel* current = &model;
+Result sweep_swaps(Model& model, const ModelAt& model_at, Result best,
+                   int bound, const FactHub& facts,
+                   const FloorProbe& floor_probe, const Deadline& deadline,
+                   Result& diag) {
+  const SearchEngine engine = model.engine();
+  Model* current = &model;
   std::vector<std::pair<int, int>> pareto;
   int prev_bound_swaps = -1;
   SwapFloor floor;
@@ -266,7 +286,7 @@ Result sweep_swaps(SearchEngine engine, SweepModel& model,
         break;
       }
       if (current == nullptr) current = &model_at(bound);
-      const std::vector<Lit> assumptions = {current->horizon_bound(bound),
+      const std::vector<Lit> assumptions = {current->depth_bound(bound),
                                             current->swap_bound(target)};
       const sat::LBool status = solve_call(engine, current->solver(),
                                            assumptions, bound, target,

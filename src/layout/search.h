@@ -2,9 +2,10 @@
 // §8.1): the deadline, the proven bound facts shared between searches of
 // one problem, the SAT-call emitter that fills every SolveCall, the 2-D
 // Pareto SWAP sweep (paper §III-B2) with its SWAP floor, and the
-// diagnostics merge. Each engine keeps its own horizon walk - depth
-// relax-then-decrement for OLSQ2, a +1 block walk for TB - because those
-// differ in real ways.
+// diagnostics merge. Both engines search a layout::Model, in its
+// time-resolved or transition-based mode. Each keeps its own horizon walk -
+// depth relax-then-decrement for OLSQ2, a +1 block walk for TB - because
+// those differ in real ways.
 #pragma once
 
 #include <atomic>
@@ -19,6 +20,8 @@
 #include "layout/types.h"
 
 namespace olsq2::layout {
+
+class Model;
 
 /// Wall-clock budget and cancellation token of one search.
 class Deadline {
@@ -43,10 +46,11 @@ class Deadline {
   const std::atomic<bool>* cancel_;
 };
 
-/// Which engine a call belongs to. It picks the span names, the span's
-/// bound key and the metric label, so traces and metrics keep one
-/// vocabulary per engine: olsq2.solve / depth_bound / time-resolved and
-/// tb.solve / block_bound / transition-based.
+/// Which engine a call belongs to, and the formulation its Model encodes.
+/// It picks the span names, the span's bound key and the metric label, so
+/// traces and metrics keep one vocabulary per engine: olsq2.solve /
+/// depth_bound / time-resolved and tb.solve / block_bound /
+/// transition-based.
 enum class SearchEngine { kTimeResolved, kTransitionBased };
 
 /// Proven objective-bound facts about one problem, shared by every search
@@ -127,6 +131,18 @@ sat::LBool solve_call(SearchEngine engine, sat::Solver& solver,
                       const std::vector<Lit>& assumptions, int bound,
                       int swap_bound, const Deadline& deadline, Result& diag);
 
+/// One fixed-bound decision: a fresh `engine` Model of `horizon` steps (or
+/// blocks) with, when `swap_bound` >= 0, that SWAP bound hard-asserted in
+/// `config.cardinality`, solved by one call recorded into `diag` as {-1,
+/// swap_bound, status}. Decodes into `*solution` when SAT and `solution`
+/// is non-null. An already expired deadline returns kUndef without
+/// encoding or solving. solve_fixed, tb_solve_fixed and tb_floor_probe are
+/// this call.
+sat::LBool decide_fixed(SearchEngine engine, const Problem& problem,
+                        int horizon, int swap_bound,
+                        const EncodingConfig& config, const Deadline& deadline,
+                        Result& diag, Result* solution = nullptr);
+
 /// Why a bound was decided without a SAT call.
 enum class PruneReason {
   kPeer,       // a shared bound fact of the problem (FactHub)
@@ -139,34 +155,20 @@ enum class PruneReason {
 void record_pruned(Result& diag, int bound, int swap_bound,
                    PruneReason reason);
 
-/// What the SWAP sweep needs from an engine model: a solver and two
-/// assumption literals, horizon <= `bound` and SWAPs <= `swaps`. Models
-/// are owned as their concrete type, never deleted through this interface.
-class SweepModel {
- public:
-  virtual sat::Solver& solver() = 0;
-  virtual Lit horizon_bound(int bound) = 0;
-  virtual Lit swap_bound(int swaps) = 0;
-  virtual Result extract() const = 0;
-
- protected:
-  ~SweepModel() = default;
-};
-
 /// Returns a model able to represent horizon `bound`, growing it by the
 /// engine's own rule when needed. The sweep calls it only right before a
 /// call it solves, so a horizon whose calls are all pruned builds nothing.
-using ModelAt = std::function<SweepModel&(int bound)>;
+using ModelAt = std::function<Model&(int bound)>;
 
 /// Decides the transition-based relaxation at (`swaps`+1 blocks, <= `swaps`
 /// SWAPs) as one SAT call recorded into the sweep's diagnostics (see
 /// tb_floor_probe in tb.h).
 using FloorProbe = std::function<sat::LBool(int swaps)>;
 
-/// The 2-D Pareto sweep (paper §III-B2). At each horizon, starting from
-/// `bound` on `model` with incumbent `best`, tighten the SWAP bound one
-/// below the incumbent until UNSAT; then relax the horizon by one (through
-/// `model_at`) while the SWAP count keeps improving. Facts in `facts`
+/// The 2-D Pareto sweep (paper §III-B2) of `model`'s engine. At each
+/// horizon, starting from `bound` on `model` with incumbent `best`, tighten
+/// the SWAP bound one below the incumbent until UNSAT; then relax the
+/// horizon by one (through `model_at`) while the SWAP count keeps improving. Facts in `facts`
 /// prune calls and receive every UNSAT. Returns the best solution, with
 /// `pareto` set.
 ///
@@ -186,10 +188,10 @@ using FloorProbe = std::function<sat::LBool(int swaps)>;
 /// Pruning skips only calls whose answer is proven UNSAT, so a sweep that
 /// runs to completion returns the optimum and Pareto points of the
 /// unpruned one.
-Result sweep_swaps(SearchEngine engine, SweepModel& model,
-                   const ModelAt& model_at, Result best, int bound,
-                   const FactHub& facts, const FloorProbe& floor_probe,
-                   const Deadline& deadline, Result& diag);
+Result sweep_swaps(Model& model, const ModelAt& model_at, Result best,
+                   int bound, const FactHub& facts,
+                   const FloorProbe& floor_probe, const Deadline& deadline,
+                   Result& diag);
 
 /// Move the search diagnostics in `diag` into `result`. The result reports
 /// hit_budget when any call ran out of budget or the deadline has passed,

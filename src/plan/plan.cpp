@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstddef>
 #include <queue>
 #include <unordered_map>
@@ -10,6 +9,7 @@
 
 #include "circuit/circuit.h"
 #include "device/device.h"
+#include "layout/search.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "plan/heuristic.h"
@@ -30,29 +30,16 @@ struct VecHash {
   }
 };
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Shared budget/cancel bookkeeping for both strategies.
+/// The expansion cap and the search's deadline, shared by both strategies.
 struct Budget {
-  double start_ms;
-  double budget_ms;
-  const std::atomic<bool>* cancel;
+  const layout::Deadline& deadline;
   std::int64_t max_expansions;
   bool tripped = false;
 
   bool check(std::int64_t expansions) {
-    if (tripped) return true;
-    if (expansions >= max_expansions) {
-      tripped = true;
-    } else if (cancel != nullptr &&
-               cancel->load(std::memory_order_relaxed)) {
-      tripped = true;
-    } else if (budget_ms > 0 && now_ms() - start_ms > budget_ms) {
-      tripped = true;
+    if (!tripped) {
+      tripped = expansions >= max_expansions || deadline.cancelled() ||
+                deadline.expired();
     }
     return tripped;
   }
@@ -349,14 +336,14 @@ void ida_search(const Space& space, const Heuristic& h,
 PlanResult synthesize(const layout::Problem& problem,
                       const PlanOptions& options) {
   obs::Span span("plan.synthesize");
-  const double start = now_ms();
+  const layout::Deadline deadline(options.time_budget_ms, options.cancel);
   PlanResult result;
 
   const circuit::Circuit& circ = *problem.circuit;
   const device::Device& dev = *problem.device;
   if (circ.num_qubits() > dev.num_qubits()) {
     result.optimal = true;  // trivially infeasible: not enough qubits
-    result.wall_ms = now_ms() - start;
+    result.wall_ms = deadline.elapsed_ms();
     return result;
   }
 
@@ -369,8 +356,7 @@ PlanResult synthesize(const layout::Problem& problem,
                   &roots);
   result.roots = static_cast<std::int64_t>(roots.size());
 
-  Budget budget{start, options.time_budget_ms, options.cancel,
-                std::max<std::int64_t>(0, options.max_expansions)};
+  Budget budget{deadline, std::max<std::int64_t>(0, options.max_expansions)};
   Incumbent incumbent;
   if (options.strategy == Strategy::kAstar) {
     astar_search(space, h, std::move(roots), roots_complete, &budget,
@@ -386,7 +372,7 @@ PlanResult synthesize(const layout::Problem& problem,
     result.swap_edges = std::move(incumbent.edges);
     fill_layout(space, &result);
   }
-  result.wall_ms = now_ms() - start;
+  result.wall_ms = deadline.elapsed_ms();
   result.layout.wall_ms = result.wall_ms;
   // A non-certified plan must never be pinned as an optimum downstream
   // (serve cache, golden replay): surface it as a budget-limited result.

@@ -508,10 +508,11 @@ LBool Solver::search(std::int64_t conflicts_before_restart) {
           obs::counter("sat.propagations",
                        static_cast<double>(stats_.propagations));
         }
-        if (budget_exhausted()) return LBool::kUndef;
         // Backtrack-boundary audit, sampled on the same cadence as the
         // budget check so the deep scan stays off the per-conflict path.
+        // It runs first so the check charges its time to the budget.
         audit_invariants("conflict-backtrack");
+        if (budget_exhausted()) return LBool::kUndef;
       }
     } else {
       const bool restart_due =
@@ -550,10 +551,11 @@ LBool Solver::search(std::int64_t conflicts_before_restart) {
       }
       if (next.is_undef()) {
         if ((stats_.decisions & 0x3FF) == 0) {
-          if (budget_exhausted()) return LBool::kUndef;
           // Decision-boundary audit (sampled): the trail is at a
-          // propagation fixpoint here, so all invariants apply.
+          // propagation fixpoint here, so all invariants apply. It runs
+          // before the budget check, which then charges its time.
           audit_invariants("decision");
+          if (budget_exhausted()) return LBool::kUndef;
         }
         next = pick_branch_lit();
         if (next.is_undef()) {
@@ -767,12 +769,13 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
   next_progress_conflicts_ = stats_.conflicts + progress_interval_;
   obs::Span span("sat.solve");
   const Stats before = stats_;
+  // The clock starts before the entry audit, so the time budget covers it.
+  conflicts_at_solve_start_ = static_cast<std::int64_t>(stats_.conflicts);
+  solve_start_ = std::chrono::steady_clock::now();
   cancel_until(0);
   audit_invariants("solve-entry");
   assumptions_.assign(assumptions.begin(), assumptions.end());
 
-  conflicts_at_solve_start_ = static_cast<std::int64_t>(stats_.conflicts);
-  solve_start_ = std::chrono::steady_clock::now();
   if (max_learnts_ < 1) {
     max_learnts_ = std::max<double>(static_cast<double>(num_original_clauses_) *
                                         max_learnts_factor_,

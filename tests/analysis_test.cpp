@@ -191,29 +191,88 @@ layout::Problem small_problem(const circuit::Circuit& circ,
   return layout::Problem{&circ, &dev, /*swap_duration=*/1};
 }
 
+constexpr layout::SearchEngine kBothFormulations[] = {
+    layout::SearchEngine::kTimeResolved,
+    layout::SearchEngine::kTransitionBased};
+
+circuit::Circuit chain3() {
+  circuit::Circuit c(3, "chain3");
+  c.add_gate("cx", 0, 1);
+  c.add_gate("cx", 1, 2);
+  return c;
+}
+
 TEST(ExclusionAudit, AllInjectivityEncodingsCoverEveryPinPair) {
-  const circuit::Circuit circ = [] {
-    circuit::Circuit c(3, "chain3");
-    c.add_gate("cx", 0, 1);
-    c.add_gate("cx", 1, 2);
-    return c;
-  }();
+  const circuit::Circuit circ = chain3();
   const device::Device dev = device::ibm_qx2();
-  for (const layout::InjectivityEncoding encoding :
-       {layout::InjectivityEncoding::kPairwise,
-        layout::InjectivityEncoding::kChanneling,
-        layout::InjectivityEncoding::kAmoPerQubit}) {
-    layout::EncodingConfig config;
-    config.injectivity = encoding;
-    layout::Model model(small_problem(circ, dev), /*t_ub=*/3, config);
+  for (const layout::SearchEngine engine : kBothFormulations) {
+    for (const layout::InjectivityEncoding encoding :
+         {layout::InjectivityEncoding::kPairwise,
+          layout::InjectivityEncoding::kChanneling,
+          layout::InjectivityEncoding::kAmoPerQubit}) {
+      layout::EncodingConfig config;
+      config.injectivity = encoding;
+      layout::Model model(engine, small_problem(circ, dev), /*horizon=*/3,
+                          config);
+      const auto obligations = model.injectivity_obligations();
+      ASSERT_FALSE(obligations.empty());
+      const AuditResult result =
+          audit_mutual_exclusion(model.solver(), obligations);
+      EXPECT_TRUE(result.ok)
+          << "engine " << static_cast<int>(engine) << ", injectivity "
+          << "encoding " << static_cast<int>(encoding) << ": "
+          << (result.errors.empty() ? "?" : result.errors.front());
+      EXPECT_EQ(result.skipped, 0);
+    }
+  }
+}
+
+TEST(ExclusionAudit, DroppedInjectivityClausesAreCaughtInBothFormulations) {
+  // Deliberate corruption: copy a pairwise model's CNF without the clauses
+  // that keep program qubits 0 and 2 off physical qubit 0. The two share
+  // no gate, so nothing else in the model separates them and the audit
+  // must flag every dropped pin pair, while the intact copy passes.
+  const circuit::Circuit circ = chain3();
+  const device::Device dev = device::ibm_qx2();
+  const int horizon = 3;
+  for (const layout::SearchEngine engine : kBothFormulations) {
+    layout::Model model(engine, small_problem(circ, dev), horizon, {},
+                        /*proof=*/nullptr, /*log_clauses=*/true);
+    // Obligations come step by step, then by program-qubit pair (0-1,
+    // 0-2, 1-2), then by physical qubit: (0, 2, p=0) follows 0-1's pairs.
     const auto obligations = model.injectivity_obligations();
-    ASSERT_FALSE(obligations.empty());
-    const AuditResult result =
-        audit_mutual_exclusion(model.solver(), obligations);
-    EXPECT_TRUE(result.ok)
-        << "injectivity encoding " << static_cast<int>(encoding) << ": "
-        << (result.errors.empty() ? "?" : result.errors.front());
-    EXPECT_EQ(result.skipped, 0);
+    const std::size_t per_step = obligations.size() / horizon;
+    std::vector<std::pair<Lit, Lit>> dropped;
+    for (int t = 0; t < horizon; ++t) {
+      dropped.push_back(obligations[t * per_step + dev.num_qubits()]);
+    }
+    const auto is_dropped = [&](const Clause& c) {
+      for (const auto& [a, b] : dropped) {
+        if (c == Clause{~a, ~b}) return true;
+      }
+      return false;
+    };
+    const sat::Solver& source = model.solver();
+    sat::Solver intact;
+    sat::Solver corrupted;
+    for (int v = 0; v < source.num_vars(); ++v) {
+      intact.new_var();
+      corrupted.new_var();
+    }
+    int removed = 0;
+    for (const Clause& c : source.clause_log()) {
+      intact.add_clause(c);
+      if (is_dropped(c)) {
+        ++removed;
+      } else {
+        corrupted.add_clause(c);
+      }
+    }
+    EXPECT_EQ(removed, horizon);
+    EXPECT_TRUE(audit_mutual_exclusion(intact, dropped).ok);
+    const AuditResult result = audit_mutual_exclusion(corrupted, dropped);
+    EXPECT_FALSE(result.ok) << "engine " << static_cast<int>(engine);
+    EXPECT_EQ(result.errors.size(), dropped.size());
   }
 }
 
@@ -255,18 +314,21 @@ TEST(ModelLint, EncodingsProduceNoLintErrors) {
     return c;
   }();
   const device::Device dev = device::ibm_qx2();
-  for (const layout::InjectivityEncoding encoding :
-       {layout::InjectivityEncoding::kPairwise,
-        layout::InjectivityEncoding::kChanneling,
-        layout::InjectivityEncoding::kAmoPerQubit}) {
-    layout::EncodingConfig config;
-    config.injectivity = encoding;
-    layout::Model model(small_problem(circ, dev), /*t_ub=*/4, config,
-                        /*proof=*/nullptr, /*log_clauses=*/true);
-    const LintReport report = lint_cnf(model.solver().num_vars(),
-                                       model.solver().clause_log());
-    EXPECT_EQ(report.errors, 0)
-        << config.label() << ": " << report.to_json();
+  for (const layout::SearchEngine engine : kBothFormulations) {
+    for (const layout::InjectivityEncoding encoding :
+         {layout::InjectivityEncoding::kPairwise,
+          layout::InjectivityEncoding::kChanneling,
+          layout::InjectivityEncoding::kAmoPerQubit}) {
+      layout::EncodingConfig config;
+      config.injectivity = encoding;
+      layout::Model model(engine, small_problem(circ, dev), /*horizon=*/4,
+                          config, /*proof=*/nullptr, /*log_clauses=*/true);
+      const LintReport report = lint_cnf(model.solver().num_vars(),
+                                         model.solver().clause_log());
+      EXPECT_EQ(report.errors, 0) << "engine " << static_cast<int>(engine)
+                                  << ", " << config.label() << ": "
+                                  << report.to_json();
+    }
   }
 }
 

@@ -66,12 +66,11 @@ TEST(Deadline, CarriesTheCancelToken) {
 
 /// A sweep handed an expired deadline with a SWAP-bearing incumbent in
 /// hand issues no call and must not claim the descent finished.
-template <class M>
 void expect_expired_sweep_reports_budget(SearchEngine engine) {
   const circuit::Circuit circ = triangle();
   const device::Device dev = device::grid(1, 3);
   const Problem problem{&circ, &dev, 1};
-  M model(problem, 6, {});
+  Model model(engine, problem, 6, {});
   Result diag;
   ASSERT_EQ(solve_call(engine, model.solver(), {}, -1, -1, Deadline(), diag),
             sat::LBool::kTrue);
@@ -80,15 +79,14 @@ void expect_expired_sweep_reports_budget(SearchEngine engine) {
 
   const Deadline deadline = expired_deadline();
   Result sweep_diag;
-  const ModelAt model_at = [&](int) -> SweepModel& { return model; };
+  const ModelAt model_at = [&](int) -> Model& { return model; };
   int probes = 0;
   const FloorProbe probe = [&](int swaps) {
     ++probes;
     return tb_floor_probe(problem, swaps, {}, deadline, sweep_diag);
   };
-  Result best = sweep_swaps(engine, model, model_at, incumbent,
-                            incumbent.depth, FactHub{}, probe, deadline,
-                            sweep_diag);
+  Result best = sweep_swaps(model, model_at, incumbent, incumbent.depth,
+                            FactHub{}, probe, deadline, sweep_diag);
   EXPECT_EQ(probes, 0);
   EXPECT_TRUE(sweep_diag.calls.empty());
   EXPECT_FALSE(sweep_diag.hit_budget);  // no call ran out of budget...
@@ -99,12 +97,11 @@ void expect_expired_sweep_reports_budget(SearchEngine engine) {
 }
 
 TEST(SweepSwaps, ExpiredDeadlineReportsHitBudgetTimeResolved) {
-  expect_expired_sweep_reports_budget<Model>(SearchEngine::kTimeResolved);
+  expect_expired_sweep_reports_budget(SearchEngine::kTimeResolved);
 }
 
 TEST(SweepSwaps, ExpiredDeadlineReportsHitBudgetTransitionBased) {
-  expect_expired_sweep_reports_budget<TbModel>(
-      SearchEngine::kTransitionBased);
+  expect_expired_sweep_reports_budget(SearchEngine::kTransitionBased);
 }
 
 /// The time-resolved sweep from `incumbent` at `bound` on `model`, with
@@ -113,13 +110,12 @@ Result sweep_with_probes(const Problem& problem, Model& model,
                          const Result& incumbent, int bound,
                          const Deadline& deadline) {
   Result diag;
-  const ModelAt model_at = [&](int) -> SweepModel& { return model; };
+  const ModelAt model_at = [&](int) -> Model& { return model; };
   const FloorProbe probe = [&](int swaps) {
     return tb_floor_probe(problem, swaps, {}, deadline, diag);
   };
-  Result best = sweep_swaps(SearchEngine::kTimeResolved, model, model_at,
-                            incumbent, bound, FactHub{}, probe, deadline,
-                            diag);
+  Result best = sweep_swaps(model, model_at, incumbent, bound, FactHub{},
+                            probe, deadline, diag);
   finish(best, diag, deadline);
   return best;
 }
