@@ -84,6 +84,7 @@ struct Row {
   double reduction_ratio = 0.0;
   std::int64_t probes = 0;
   std::int64_t library_hits = 0;
+  std::int64_t dominated = 0;
 };
 
 }  // namespace
@@ -105,7 +106,8 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   bench::Table table({"case", "swaps", "subarch_ms", "direct_ms",
-                      "direct_cert", "sub_q", "probes", "headline"});
+                      "direct_cert", "sub_q", "probes", "dominated",
+                      "headline"});
   for (Case& c : cases()) {
     Row row;
     row.name = c.name;
@@ -124,6 +126,7 @@ int main(int argc, char** argv) {
     row.reduction_ratio = outcome.reduction_ratio;
     row.probes = outcome.probes;
     row.library_hits = outcome.library_hits;
+    row.dominated = outcome.dominated;
     const bool verified =
         lifted.solved &&
         layout::verify_transition_based(problem, lifted).ok;
@@ -151,6 +154,7 @@ int main(int argc, char** argv) {
                      row.direct_certified ? "yes" : "no",
                      std::to_string(row.sub_qubits),
                      std::to_string(row.probes),
+                     std::to_string(row.dominated),
                      row.headline ? "YES" : "-"});
     rows.push_back(row);
   }
@@ -193,7 +197,8 @@ int main(int argc, char** argv) {
            << ",\"sub_qubits\":" << row.sub_qubits
            << ",\"reduction_ratio\":" << row.reduction_ratio
            << ",\"probes\":" << row.probes
-           << ",\"library_hits\":" << row.library_hits << "}";
+           << ",\"library_hits\":" << row.library_hits
+           << ",\"dominated\":" << row.dominated << "}";
     }
     json << "]}\n";
     std::ofstream out(out_path);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdlib>
 #include <map>
 #include <numeric>
@@ -411,6 +412,90 @@ bool interaction_connected(const circuit::Circuit& circuit) {
     }
   }
   return true;
+}
+
+std::optional<std::vector<int>> spanning_embedding(const device::Device& sub,
+                                                   const device::Device& host) {
+  const int m = sub.num_qubits();
+  if (host.num_qubits() != m || m > kMaxSignatureQubits ||
+      sub.num_edges() > host.num_edges()) {
+    return std::nullopt;
+  }
+  if (m == 0) return std::vector<int>{};
+  // One adjacency bit row per qubit; bit w of a candidate row is host w.
+  using Row = std::uint32_t;
+  const auto rows = [](const device::Device& dev) {
+    std::array<Row, kMaxSignatureQubits> adj{};
+    for (const device::Edge& e : dev.edges()) {
+      adj[e.p0] |= Row{1} << e.p1;
+      adj[e.p1] |= Row{1} << e.p0;
+    }
+    return adj;
+  };
+  const std::array<Row, kMaxSignatureQubits> sub_adj = rows(sub);
+  const std::array<Row, kMaxSignatureQubits> host_adj = rows(host);
+
+  // Degree filter: v may only land on host qubits of at least its degree.
+  std::array<Row, kMaxSignatureQubits> allowed{};
+  for (int v = 0; v < m; ++v) {
+    for (int w = 0; w < m; ++w) {
+      if (std::popcount(host_adj[w]) >= std::popcount(sub_adj[v])) {
+        allowed[v] |= Row{1} << w;
+      }
+    }
+    if (allowed[v] == 0) return std::nullopt;
+  }
+
+  // Placement order: next is the unplaced qubit with the most placed
+  // neighbours (then the highest degree), so each choice is checked
+  // against as many placed couplers as possible. before[i] holds the
+  // qubits placed ahead of order[i].
+  std::array<int, kMaxSignatureQubits> order{};
+  std::array<Row, kMaxSignatureQubits> before{};
+  Row placed = 0;
+  for (int i = 0; i < m; ++i) {
+    int best = -1;
+    std::pair<int, int> best_rank{-1, -1};
+    for (int v = 0; v < m; ++v) {
+      if ((placed >> v) & 1U) continue;
+      const std::pair<int, int> rank{std::popcount(sub_adj[v] & placed),
+                                     std::popcount(sub_adj[v])};
+      if (rank > best_rank) {
+        best_rank = rank;
+        best = v;
+      }
+    }
+    order[i] = best;
+    before[i] = placed;
+    placed |= Row{1} << best;
+  }
+
+  std::vector<int> phi(m, -1);
+  Row used = 0;
+  const auto candidates = [&](int i) {
+    const int v = order[i];
+    Row cand = allowed[v] & ~used;
+    for (Row nbrs = sub_adj[v] & before[i]; nbrs != 0; nbrs &= nbrs - 1) {
+      cand &= host_adj[phi[std::countr_zero(nbrs)]];
+    }
+    return cand;
+  };
+  // Depth-first backtracking with one pending candidate row per level.
+  std::array<Row, kMaxSignatureQubits> pending{};
+  pending[0] = candidates(0);
+  for (int i = 0; i >= 0;) {
+    if (pending[i] == 0) {
+      if (--i >= 0) used &= ~(Row{1} << phi[order[i]]);
+      continue;
+    }
+    const int w = std::countr_zero(pending[i]);
+    pending[i] &= pending[i] - 1;
+    phi[order[i]] = w;
+    used |= Row{1} << w;
+    if (++i == m) return phi;
+    pending[i] = candidates(i);
+  }
+  return std::nullopt;
 }
 
 SubDevice make_subdevice(const device::Device& dev,

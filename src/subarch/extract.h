@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,14 @@ Cover enumerate_cover(const device::Device& dev, int m,
 /// component of the circuit's interaction graph (the precondition of the
 /// §14.2 region argument) and the circuit has at least one 2q gate.
 bool interaction_connected(const circuit::Circuit& circuit);
+
+/// Spanning embedding of `sub` into `host`: a bijection phi between their
+/// qubits that maps every coupler of `sub` onto a coupler of `host`, as
+/// phi[sub qubit] = host qubit. std::nullopt when none exists, when the
+/// qubit counts differ, or above 16 qubits. The ladder's dominance test
+/// (subarch/solve.h): any TB solution on `sub` is then one on `host`.
+std::optional<std::vector<int>> spanning_embedding(const device::Device& sub,
+                                                   const device::Device& host);
 
 /// Build the induced subdevice on a sorted vertex set (the concrete
 /// embedding half of a CoverClass).

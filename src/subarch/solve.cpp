@@ -98,9 +98,31 @@ LadderResult run_ladder(const layout::Problem& problem,
     }
     out.classes_total += static_cast<std::int64_t>(cover.classes.size());
 
+    // Classes of this round answered UNSAT, densest first. A class that
+    // embeds as a spanning subgraph of one of them is refuted with it: its
+    // TB solutions map onto the refuted class's couplers. Only strictly
+    // denser classes can host such an embedding (equal coupler counts
+    // would make it an isomorphism, i.e. the same class), and the
+    // densest-first order probes them first.
+    std::vector<const CoverClass*> refuted;
+    const auto is_dominated = [&](const CoverClass& cls) {
+      return std::any_of(refuted.begin(), refuted.end(),
+                         [&](const CoverClass* host) {
+                           return host->induced_edges > cls.induced_edges &&
+                                  spanning_embedding(cls.rep.device,
+                                                     host->rep.device);
+                         });
+    };
+
     for (const CoverClass& cls : cover.classes) {
       if (deadline.cancelled()) return bail("cancelled");
       if (deadline.expired()) return bail("budget");
+      if (is_dominated(cls)) {
+        ++out.dominated;
+        count("subarch_dominated_total",
+              "Ladder classes skipped as embedded in a refuted class");
+        continue;
+      }
       const std::string key =
           probe_key(cls.canon.key, ccanon.key, problem.swap_duration, k);
       Library::Probe probe;
@@ -126,7 +148,10 @@ LadderResult run_ladder(const layout::Problem& problem,
         // split keys, never merge them), so memoization is always sound.
         library.insert(key, probe);
       }
-      if (probe.status != 'S') continue;
+      if (probe.status != 'S') {
+        refuted.push_back(&cls);
+        continue;
+      }
 
       // Round k SAT after rounds < k were all-UNSAT: the lifted SWAP
       // count is the certified optimum.
@@ -160,6 +185,7 @@ LadderResult run_ladder(const layout::Problem& problem,
         span.arg("sub_qubits", out.sub_qubits);
         span.arg("probes", out.probes);
         span.arg("library_hits", out.library_hits);
+        span.arg("dominated", out.dominated);
       }
       return lad;
     }

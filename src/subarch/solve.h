@@ -8,7 +8,14 @@
 // all-UNSAT rounds before it, the lifted solution's SWAP count k is the
 // certified full-device optimum (§14.2's region argument maps every
 // full-device <=k-SWAP solution into some enumerated class). All-UNSAT
-// rounds increment k. Any gate failure - disconnected interaction graph,
+// rounds increment k. Within a round, a class whose graph embeds as a
+// spanning subgraph of a class already refuted in that round is skipped
+// unprobed: both have |Q|+k qubits and the embedding maps every coupler
+// onto a coupler, so any <=k-SWAP TB solution in k+1 blocks on the skipped
+// class is also one on the refuted class. Classes run densest-first, so
+// dominators come first, and embedding is transitive, so the skipped set
+// does not depend on tie order. Skipped classes are not written to the
+// library. Any gate failure - disconnected interaction graph,
 // enumeration or probe budget, cancel, ladder cap - degrades to the
 // direct engine on the full device, so the wrappers below are always safe
 // drop-in replacements.
@@ -59,6 +66,10 @@ struct SubarchOutcome {
   int rounds = 0;
   std::int64_t probes = 0;
   std::int64_t library_hits = 0;
+  /// Classes skipped because they embed into a class refuted earlier in
+  /// their round. probes + library_hits + dominated counts every class the
+  /// ladder visited.
+  std::int64_t dominated = 0;
   std::int64_t classes_total = 0;
 };
 

@@ -150,6 +150,34 @@ TEST(BenchDiff, InfoKeysNeverGate) {
   EXPECT_EQ(diff_bench_json(base, cur).status, DiffStatus::kOk);
 }
 
+TEST(BenchDiff, CertifiedSwapCountChangeFails) {
+  // The subarch and plan benches solve for the SWAP optimum: a solved
+  // row's swap_count is certified, so a changed one is a wrong answer. An
+  // unsolved row's count certifies nothing and stays info.
+  const auto doc = [](const std::string& bench, int solved_swaps,
+                      int unsolved_swaps) {
+    return "{\"schema_version\":1,\"bench\":\"" + bench +
+           "\",\"budget_ms\":2000,\"cases\":[{\"name\":\"qaoaK4/grid8x8\","
+           "\"solved\":true,\"swap_count\":" +
+           std::to_string(solved_swaps) +
+           ",\"probes\":4},{\"name\":\"bvstar5/eagle127\",\"solved\":false,"
+           "\"swap_count\":" +
+           std::to_string(unsolved_swaps) + "}]}";
+  };
+  for (const std::string bench : {"subarch", "plan"}) {
+    SCOPED_TRACE(bench);
+    const DiffReport wrong = diff_bench_json(doc(bench, 2, 3), doc(bench, 1, 3));
+    EXPECT_EQ(wrong.status, DiffStatus::kRegression);
+    ASSERT_EQ(wrong.regressions.size(), 1u);
+    EXPECT_NE(wrong.regressions[0].find("qaoaK4/grid8x8"), std::string::npos);
+    EXPECT_EQ(diff_bench_json(doc(bench, 2, 3), doc(bench, 2, 5)).status,
+              DiffStatus::kOk);
+  }
+  // A depth-objective bench keeps swap_count as a by-product.
+  EXPECT_EQ(diff_bench_json(doc("table3", 2, 3), doc("table3", 1, 3)).status,
+            DiffStatus::kOk);
+}
+
 TEST(BenchDiff, FlattenAndLeafName) {
   const FlatDoc doc = flatten_json(
       "{\"a\":{\"b_ms\":1.5},\"list\":[true,false],\"s\":\"x\"}", "test");

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "layout/tb.h"
 #include "layout/verifier.h"
 #include "serve/batch.h"
+#include "serve/canonical.h"
 #include "subarch/extract.h"
 #include "subarch/library.h"
 #include "subarch/lift.h"
@@ -233,6 +235,217 @@ TEST(SubarchLadder, CertifiesSwapsOnEagle127) {
   EXPECT_EQ(outcome.rounds, result.swap_count + 1);
   const auto verdict = layout::verify_transition_based(problem, result);
   EXPECT_TRUE(verdict.ok);
+}
+
+// `phi` must be a bijection of sub's qubits onto host's that maps every
+// coupler of `sub` onto a coupler of `host`.
+void expect_spanning_witness(const device::Device& sub,
+                             const device::Device& host,
+                             const std::vector<int>& phi) {
+  const int n = sub.num_qubits();
+  ASSERT_EQ(host.num_qubits(), n);
+  ASSERT_EQ(static_cast<int>(phi.size()), n);
+  const std::set<int> image(phi.begin(), phi.end());
+  EXPECT_EQ(static_cast<int>(image.size()), n);
+  for (const int w : phi) {
+    ASSERT_GE(w, 0);
+    ASSERT_LT(w, n);
+  }
+  for (const device::Edge& e : sub.edges()) {
+    EXPECT_TRUE(host.adjacent(phi[e.p0], phi[e.p1]))
+        << "coupler " << e.p0 << "-" << e.p1 << " maps to non-coupler "
+        << phi[e.p0] << "-" << phi[e.p1];
+  }
+}
+
+TEST(SubarchDominance, SpanningEmbeddingFindsWitnessesAndRejects) {
+  const device::Device path("p4", 4, {{0, 1}, {1, 2}, {2, 3}});
+  const device::Device cycle("c4", 4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
+  const device::Device star("k13", 4, {{0, 1}, {0, 2}, {0, 3}});
+  const device::Device relabeled("c4-rev", 4, {{3, 1}, {1, 0}, {0, 2}, {2, 3}});
+
+  const std::optional<std::vector<int>> into_cycle =
+      spanning_embedding(path, cycle);
+  ASSERT_TRUE(into_cycle.has_value());
+  expect_spanning_witness(path, cycle, *into_cycle);
+  const std::optional<std::vector<int>> iso =
+      spanning_embedding(cycle, relabeled);
+  ASSERT_TRUE(iso.has_value());
+  expect_spanning_witness(cycle, relabeled, *iso);
+
+  EXPECT_FALSE(spanning_embedding(cycle, path));  // more couplers
+  EXPECT_FALSE(spanning_embedding(star, cycle));  // degree 3 has no host
+  EXPECT_FALSE(spanning_embedding(path, device::grid(2, 3)));  // 4 vs 6
+  // Same degree sequence, still no embedding: two triangles vs C6.
+  const device::Device triangles(
+      "2k3", 6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}});
+  const device::Device hexagon(
+      "c6", 6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
+  EXPECT_FALSE(spanning_embedding(triangles, hexagon));
+  EXPECT_FALSE(spanning_embedding(hexagon, triangles));
+}
+
+// The classes ladder round k visits, as run_ladder builds them: the cover
+// at |Q|+k qubits, or the whole device as its single class.
+std::vector<CoverClass> round_classes(const device::Device& dev, int m,
+                                      const ExtractOptions& options) {
+  if (m < dev.num_qubits()) {
+    Cover cover = enumerate_cover(dev, m, options);
+    EXPECT_TRUE(cover.complete);
+    return std::move(cover.classes);
+  }
+  std::vector<int> all(dev.num_qubits());
+  for (int p = 0; p < dev.num_qubits(); ++p) all[p] = p;
+  CoverClass cls;
+  cls.rep = make_subdevice(dev, all);
+  cls.canon = serve::canonicalize_device(cls.rep.device);
+  cls.induced_edges = dev.num_edges();
+  return {std::move(cls)};
+}
+
+// Runs the ladder (fresh library) and replays each of its rounds by
+// probing every class directly: a class the ladder skipped must be UNSAT
+// on its own and embed into a class refuted before it, and a class it
+// probed must embed into no earlier UNSAT class. The library tells which
+// classes the ladder probed. Since the replay probes every class, it is
+// also the ladder without pruning, and its k must be the certified one.
+// Returns the number of classes the ladder skipped.
+std::int64_t check_dominance_replay(const circuit::Circuit& circuit,
+                                    const device::Device& dev) {
+  const layout::Problem problem{&circuit, &dev, 1};
+  Library library;
+  SubarchOptions subopts;
+  subopts.min_device_qubits = 0;
+  subopts.library = &library;
+  SubarchOutcome outcome;
+  const layout::Result lifted =
+      tb_synthesize_swap_optimal(problem, {}, {}, subopts, &outcome);
+  EXPECT_TRUE(outcome.certified) << outcome.fallback_reason;
+  if (!outcome.certified) return 0;
+  const layout::Result direct = layout::tb_synthesize_swap_optimal(problem);
+  EXPECT_TRUE(direct.solved);
+  EXPECT_FALSE(direct.hit_budget);
+  EXPECT_EQ(lifted.swap_count, direct.swap_count);
+  EXPECT_EQ(outcome.library_hits, 0);
+
+  const std::string circuit_key = serve::canonicalize_circuit(circuit).key;
+  std::int64_t visited = 0;
+  std::int64_t skipped = 0;
+  for (int k = 0; k <= outcome.swap_optimum; ++k) {
+    const int m = std::min(circuit.num_qubits() + k, dev.num_qubits());
+    const std::vector<CoverClass> classes =
+        round_classes(dev, m, subopts.extract);
+    std::vector<const CoverClass*> unsat;    // every UNSAT class so far
+    std::vector<const CoverClass*> refuted;  // the UNSAT ones it probed
+    bool closed = false;
+    for (const CoverClass& cls : classes) {
+      ++visited;
+      const layout::Problem sub{&circuit, &cls.rep.device, 1};
+      const layout::Result r = layout::tb_solve_fixed(sub, k + 1, k);
+      EXPECT_FALSE(r.hit_budget);
+      const bool probed =
+          library.lookup(probe_key(cls.canon.key, circuit_key, 1, k))
+              .has_value();
+      if (!probed) {
+        ++skipped;
+        EXPECT_FALSE(r.solved) << "skipped a SAT class at k=" << k;
+        bool hosted = false;
+        for (const CoverClass* host : refuted) {
+          if (const std::optional<std::vector<int>> phi =
+                  spanning_embedding(cls.rep.device, host->rep.device)) {
+            expect_spanning_witness(cls.rep.device, host->rep.device, *phi);
+            hosted = true;
+            break;
+          }
+        }
+        EXPECT_TRUE(hosted) << "skipped a class no refuted class hosts at k="
+                            << k;
+        unsat.push_back(&cls);
+        continue;
+      }
+      for (const CoverClass* earlier : unsat) {
+        EXPECT_FALSE(spanning_embedding(cls.rep.device, earlier->rep.device))
+            << "probed a dominated class at k=" << k;
+      }
+      if (r.solved) {
+        closed = true;
+        break;
+      }
+      unsat.push_back(&cls);
+      refuted.push_back(&cls);
+    }
+    EXPECT_EQ(closed, k == outcome.swap_optimum) << "k=" << k;
+  }
+  EXPECT_EQ(skipped, outcome.dominated);
+  EXPECT_EQ(outcome.probes + outcome.library_hits + outcome.dominated,
+            visited);
+  EXPECT_EQ(static_cast<std::int64_t>(library.stats().inserts),
+            outcome.probes);
+  return outcome.dominated;
+}
+
+TEST(SubarchDominance, LadderSkipsOnlyRefutedClassesOnSmallDevices) {
+  std::int64_t dominated = 0;
+  const circuit::Circuit k4 = bengen::qaoa_3regular(4, 1);
+  for (const device::Device& dev :
+       {device::grid(2, 3), device::grid(3, 3), device::ibm_qx2()}) {
+    SCOPED_TRACE(dev.name());
+    dominated += check_dominance_replay(k4, dev);
+  }
+  {
+    SCOPED_TRACE("bv4 on grid(3,3)");
+    dominated += check_dominance_replay(bengen::bernstein_vazirani(4, 0b1111),
+                                        device::grid(3, 3));
+  }
+  // Grids refute C4 before the paths it contains.
+  EXPECT_GT(dominated, 0);
+}
+
+TEST(SubarchDominance, LadderSkipsOnlyRefutedClassesOnGrid8x8Region) {
+  // A 6-qubit region draw that needs no SWAP but whose densest classes
+  // are refuted first, so the closing round skips classes; the direct
+  // engine certifies 0 SWAPs on the 64-qubit grid in milliseconds.
+  const device::Device grid8 = device::grid(8, 8);
+  EXPECT_GT(
+      check_dominance_replay(bengen::region_workload(grid8, 6, 8, 1, 14),
+                             grid8),
+      0);
+}
+
+TEST(SubarchDominance, MaximalClassCountsOnGridAndHeavyHex) {
+  // Classes that embed into no other class of their cover are the only
+  // ones an all-UNSAT round needs to probe.
+  const auto maximal = [](const Cover& cover) {
+    int count = 0;
+    for (const CoverClass& cls : cover.classes) {
+      bool embeds = false;
+      for (const CoverClass& other : cover.classes) {
+        if (&other != &cls &&
+            spanning_embedding(cls.rep.device, other.rep.device)) {
+          embeds = true;
+          break;
+        }
+      }
+      count += embeds ? 0 : 1;
+    }
+    return count;
+  };
+  const device::Device grid8 = device::grid(8, 8);
+  const std::vector<std::pair<int, int>> grid_counts = {{6, 3}, {7, 4}, {8, 9}};
+  for (const auto& [m, want] : grid_counts) {
+    const Cover cover = enumerate_cover(grid8, m);
+    ASSERT_TRUE(cover.complete);
+    EXPECT_EQ(maximal(cover), want) << "grid8x8 m=" << m;
+  }
+  // Heavy-hex has no cycle shorter than 12: every class up to m = 9 is a
+  // tree with m-1 couplers, so none embeds into another.
+  const device::Device eagle = device::ibm_eagle127();
+  for (int m = 2; m <= 9; ++m) {
+    const Cover cover = enumerate_cover(eagle, m);
+    ASSERT_TRUE(cover.complete);
+    EXPECT_EQ(maximal(cover), static_cast<int>(cover.classes.size()))
+        << "eagle127 m=" << m;
+  }
 }
 
 TEST(SubarchLift, ProjectionRoundTrip) {

@@ -81,9 +81,10 @@ KeyClass classify(const std::string& base) {
   static const std::set<std::string> correctness = {"solved", "depth",
                                                     "solves", "hits",
                                                     "one_key"};
-  // swap_count is informational: when depth is the objective, the SWAP
-  // count of the returned layout is a by-product, not an optimum, and any
-  // search change may land on an equally deep layout with other SWAPs.
+  // swap_count is informational (unless certified_swap_count): when depth
+  // is the objective, the SWAP count of the returned layout is a
+  // by-product, not an optimum, and any search change may land on an
+  // equally deep layout with other SWAPs.
   static const std::set<std::string> info = {"runs_ms", "peak_rss_bytes",
                                              "swap_count"};
   if (config.count(base)) return KeyClass::kConfig;
@@ -94,6 +95,22 @@ KeyClass classify(const std::string& base) {
     return KeyClass::kTiming;
   }
   return KeyClass::kInfo;
+}
+
+/// The subarch and plan benches solve for the SWAP optimum, so the
+/// swap_count of each of their solved rows is a certified optimum and a
+/// changed one is a wrong answer.
+bool certified_swap_count(const FlatDoc& doc, const std::string& path) {
+  static const std::string kLeaf = "swap_count";
+  if (leaf_name(path) != kLeaf) return false;
+  const auto bench = doc.strings.find("bench");
+  if (bench == doc.strings.end() ||
+      (bench->second != "subarch" && bench->second != "plan")) {
+    return false;
+  }
+  const auto solved = doc.numbers.find(
+      path.substr(0, path.size() - kLeaf.size()) + "solved");
+  return solved != doc.numbers.end() && solved->second == 1.0;
 }
 
 std::string fmt(double v) {
@@ -143,7 +160,9 @@ DiffReport diff_bench_json(std::string_view baseline, std::string_view current,
   // budgets: a timing comparison between them is meaningless, as are the
   // solved/hit counts that depend on it. Same for every other config key.
   for (const auto& [path, base_value] : base.numbers) {
-    const KeyClass cls = classify(leaf_name(path));
+    const KeyClass cls = certified_swap_count(base, path)
+                             ? KeyClass::kCorrectness
+                             : classify(leaf_name(path));
     const auto it = cur.numbers.find(path);
     if (it == cur.numbers.end()) {
       switch (cls) {

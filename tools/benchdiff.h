@@ -8,18 +8,19 @@
 //                 duplicate_share, and every string except git_sha /
 //                 timestamp): any difference means the two runs are not
 //                 comparable -> DiffStatus::kError.
-//   correctness  (solved, depth, solves, hits): any change is a regression
-//                 -- a different optimum or a broken cache path is a bug,
-//                 not noise.
+//   correctness  (solved, depth, solves, hits, and swap_count in the
+//                 solved rows of the SWAP-objective "subarch" and "plan"
+//                 benches): any change is a regression -- a different
+//                 optimum or a broken cache path is a bug, not noise.
 //   timing       (*_ms leaves, e.g. median_ms, wall_ms): current may exceed
 //                 baseline by at most max_regress (relative); values below
 //                 min_ms are treated as noise and never gate.
 //   ratio        (speedup): lower-is-worse, gated by max_ratio_drop -- a
 //                 ratio of two timings compounds their noise, so its
 //                 tolerance is wider than the per-timing one.
-//   info         (swap_count -- in a depth run the SWAP count is a
-//                 by-product, not an optimum, and any search change moves
-//                 it -- bound-fact counters, runs_ms samples,
+//   info         (swap_count elsewhere -- in a depth run the SWAP count
+//                 is a by-product, not an optimum, and any search change
+//                 moves it -- bound-fact counters, runs_ms samples,
 //                 peak_rss_bytes, and any unrecognized key): reported,
 //                 never gating.
 //
