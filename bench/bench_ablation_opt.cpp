@@ -5,8 +5,13 @@
 //   (c) SWAP-bound iterative *descent* from a satisfying solution vs
 //       iterative *ascent* from 0 (the paper argues descent exploits the
 //       monotone solution structure - every query but the last is SAT),
-//   (d) CDCL restart policy (Luby vs Glucose vs alternating).
+//   (d) CDCL restart policy (Luby vs Glucose vs alternating),
+//   (e) depth descent after the first SAT: bisection of the interval
+//       between the highest refuted bound and the incumbent (what
+//       synthesize_depth_optimal runs) vs the paper's decrement by one,
+//   (f) injectivity encoding by instance shape.
 #include <chrono>
+#include <cmath>
 
 #include "bench/common.h"
 #include "bengen/workloads.h"
@@ -118,7 +123,81 @@ int main() {
     }
   }
 
-  std::cout << "\n--- (e) injectivity encoding by instance shape ---\n";
+  std::cout << "\n--- (e) depth descent: bisect vs linear decrement ---\n";
+  // Both directions run on ONE incrementally-solved model and share the
+  // opening: T_LB, then x1.3 relaxation until the first SAT. From there the
+  // paper decrements the bound by one until the first UNSAT; bisection asks
+  // the midpoint of (highest refuted, incumbent] until it holds one bound.
+  // Neither asks a bound the opening refuted. Cells: calls / conflicts / time.
+  {
+    Table table({"benchmark", "bisect", "linear", "optimal depth"}, 24);
+    const device::Device aspen = device::rigetti_aspen4();
+    const device::Device grid23 = device::grid(2, 3);
+    struct Row {
+      std::string name;
+      circuit::Circuit circ;
+      const device::Device* on;
+      int sd;
+    };
+    std::vector<Row> rows;
+    for (const int seed : {2, 3}) {
+      rows.push_back({"QAOA(8) seed " + std::to_string(seed) + " aspen4",
+                      bengen::qaoa_3regular(8, seed), &aspen, 1});
+    }
+    rows.push_back({"TOF(3) grid2x3", bengen::tof(3), &grid23, 3});
+    for (const Row& row : rows) {
+      const layout::Problem problem{&row.circ, row.on, row.sd};
+      const circuit::DependencyGraph deps(row.circ);
+      const int t_lb = deps.longest_chain();
+      const int horizon = deps.default_upper_bound();
+      const double relax = layout::OptimizerOptions{}.relax_small;
+
+      // Returns the optimal depth (-1 on budget) and fills `cell`.
+      auto run_descent = [&](bool bisect, std::string& cell) {
+        layout::Model model(problem, horizon, {});
+        model.solver().set_time_budget(std::chrono::milliseconds(
+            static_cast<std::int64_t>(budget)));
+        const double t0 = now_ms();
+        int calls = 0;
+        int refuted = t_lb - 1;
+        int incumbent = -1;
+        // Answers depth <= t, moving the interval's matching end.
+        auto ask = [&](int t) {
+          ++calls;
+          const std::vector<layout::Lit> assume = {model.depth_bound(t)};
+          const sat::LBool status = model.solver().solve(assume);
+          if (status == sat::LBool::kTrue) incumbent = model.extract().depth;
+          if (status == sat::LBool::kFalse) refuted = t;
+          return status != sat::LBool::kUndef;
+        };
+        for (int t = t_lb; incumbent < 0 && refuted < horizon;) {
+          if (!ask(t)) break;
+          t = std::min(horizon,
+                       std::max(t + 1, static_cast<int>(std::ceil(relax * t))));
+        }
+        bool done = incumbent >= 0;
+        while (done && incumbent - 1 > refuted) {
+          done = ask(bisect ? refuted + (incumbent - refuted) / 2
+                            : incumbent - 1);
+        }
+        cell = done ? std::to_string(calls) + " / " +
+                          std::to_string(model.solver().stats().conflicts) +
+                          " / " + fmt_ms(now_ms() - t0, false)
+                    : "TO";
+        return done ? incumbent : -1;
+      };
+
+      std::string bisect_cell, linear_cell;
+      const int bisected = run_descent(true, bisect_cell);
+      const int linear = run_descent(false, linear_cell);
+      table.print_row({row.name, bisect_cell, linear_cell,
+                       bisected == linear && bisected >= 0
+                           ? std::to_string(bisected)
+                           : "-"});
+    }
+  }
+
+  std::cout << "\n--- (f) injectivity encoding by instance shape ---\n";
   // Pairwise forbidden-pair clauses vs inverse-function channeling vs
   // commander AMO-per-qubit: which wins depends on |Q| relative to |P|.
   {

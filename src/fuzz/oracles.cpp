@@ -711,12 +711,12 @@ OracleReport check_subarch(const Instance& instance, std::uint64_t seed) {
   const Instance variant = relabel_physical_qubits(instance, rng);
   const int m = instance.circuit.num_qubits();
   if (m >= 2 && m <= instance.device.num_qubits()) {
-    const subarch::Cover cover_a = subarch::enumerate_cover(instance.device, m);
-    const subarch::Cover cover_b = subarch::enumerate_cover(variant.device, m);
-    if (cover_a.complete && cover_b.complete) {
+    const auto cover_a = subarch::enumerate_cover(instance.device, m);
+    const auto cover_b = subarch::enumerate_cover(variant.device, m);
+    if (cover_a->complete && cover_b->complete) {
       std::vector<std::string> keys_a, keys_b;
-      for (const auto& cls : cover_a.classes) keys_a.push_back(cls.canon.key);
-      for (const auto& cls : cover_b.classes) keys_b.push_back(cls.canon.key);
+      for (const auto& cls : cover_a->classes) keys_a.push_back(cls.canon.key);
+      for (const auto& cls : cover_b->classes) keys_b.push_back(cls.canon.key);
       std::sort(keys_a.begin(), keys_a.end());
       std::sort(keys_b.begin(), keys_b.end());
       if (keys_a != keys_b) {

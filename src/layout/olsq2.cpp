@@ -33,83 +33,81 @@ std::unique_ptr<Model> make_configured_model(const Problem& problem, int t_ub,
   return model;
 }
 
-sat::LBool solve_depth(Model& model, int t_b, const Deadline& deadline,
-                       Result& diag) {
-  return solve_call(SearchEngine::kTimeResolved, model.solver(),
-                    {model.depth_bound(t_b)}, t_b, -1, deadline, diag);
-}
+/// One depth search's state: no schedule has depth <= `refuted`, and
+/// `best`, once solved, is the incumbent. The search is done when the
+/// incumbent's depth is refuted + 1.
+struct DepthInterval {
+  int refuted;
+  Result best;                   // solved=false until the first SAT
+  std::unique_ptr<Model> model;  // model in which `best` was found
 
-struct DepthPhaseOutcome {
-  std::unique_ptr<Model> model;  // model in which the solution was found
-  Result best;                   // solved=false on budget exhaustion
+  bool closed() const { return best.solved && best.depth - 1 <= refuted; }
+
+  /// Adopt a shared fact that refutes more than this run has, recording
+  /// the bound it decides as pruned. The run publishes its own refutations
+  /// as it proves them, so those never count as a peer's.
+  void narrow_by_peers(const FactHub& facts, Result& diag) {
+    if (facts.depth_unsat_max() <= refuted) return;
+    refuted = facts.depth_unsat_max();
+    record_pruned(diag, refuted, -1, PruneReason::kPeer);
+  }
 };
 
 /// Shared depth-optimization phase; also the first stage of the SWAP sweep.
 /// Every model is built at the horizon of the bound it answers, since a
 /// schedule of depth <= t_b fits in horizon t_b.
-DepthPhaseOutcome run_depth_phase(const Problem& problem,
-                                  const EncodingConfig& config,
-                                  const OptimizerOptions& options,
-                                  const Deadline& deadline, Result& diag,
-                                  bool with_swaps) {
+DepthInterval run_depth_phase(const Problem& problem,
+                              const EncodingConfig& config,
+                              const OptimizerOptions& options,
+                              const Deadline& deadline, Result& diag,
+                              bool with_swaps) {
   obs::Span phase_span("olsq2.depth_phase");
   const circuit::DependencyGraph deps(*problem.circuit);
   const int t_lb = deps.longest_chain();
   const int t_ub = deps.default_upper_bound();
   const FactHub facts{options.facts};
 
-  DepthPhaseOutcome out;
-  std::unique_ptr<Model> model;
-  int t_b = t_lb;
-
-  // Phase 1: geometric relaxation until the first satisfying bound.
-  while (true) {
-    if (deadline.expired()) return out;
-    // Shared facts: skip past bounds another search already refuted, and
-    // never relax beyond a bound one already proved satisfiable.
-    if (t_b <= facts.depth_unsat_max() && t_b < t_ub) {
-      record_pruned(diag, t_b, -1, PruneReason::kPeer);
-      t_b = std::min(next_relaxed_bound(facts.depth_unsat_max(), t_ub, options),
-                     std::max(facts.depth_sat_min(), t_lb));
-      continue;
-    }
-    const int sat_cap = facts.depth_sat_min();
-    if (t_b > sat_cap && sat_cap >= t_lb && sat_cap < t_ub) t_b = sat_cap;
-    model = make_configured_model(problem, t_b, config, options, with_swaps);
-    const sat::LBool status = solve_depth(*model, t_b, deadline, diag);
-    if (status == sat::LBool::kUndef) return out;
-    if (status == sat::LBool::kTrue) break;
-    facts.note_depth_unsat(t_b);
-    t_b = next_relaxed_bound(t_b, t_ub, options);
-  }
-
-  out.best = model->extract();
-  facts.note_depth_sat(out.best.depth);
-  // Phase 2: decrement to the first UNSAT, incrementally on the first SAT
-  // model unless the options ask for a fresh model per bound.
-  t_b = out.best.depth - 1;
-  while (t_b >= t_lb) {
-    if (deadline.expired()) break;
-    if (t_b <= facts.depth_unsat_max()) {
-      // A peer already proved this bound (hence everything below it)
-      // unsatisfiable: the incumbent is optimal.
-      record_pruned(diag, t_b, -1, PruneReason::kPeer);
-      break;
+  DepthInterval out{t_lb - 1, {}, nullptr};
+  const int calls_before = diag.sat_calls;
+  int relax_calls = 0;
+  // Relax geometrically from T_LB (or from a peer's refutation) until the
+  // first SAT, never past a bound a peer proved satisfiable. Then bisect
+  // (refuted, incumbent] incrementally on the first SAT model, unless the
+  // options ask for a fresh model per bound.
+  while (!deadline.expired()) {
+    out.narrow_by_peers(facts, diag);
+    if (out.closed()) break;
+    int t_b = out.refuted + 1;
+    if (out.best.solved) {
+      t_b = out.refuted + (out.best.depth - out.refuted) / 2;
+    } else {
+      if (t_b > t_lb) t_b = next_relaxed_bound(out.refuted, t_ub, options);
+      t_b = std::min(t_b, std::max(facts.depth_sat_min(), out.refuted + 1));
+      ++relax_calls;
     }
     std::unique_ptr<Model> fresh =
-        options.incremental ? nullptr
-                            : make_configured_model(problem, t_b, config,
-                                                    options, with_swaps);
-    Model& current = fresh ? *fresh : *model;
-    const sat::LBool status = solve_depth(current, t_b, deadline, diag);
-    if (status == sat::LBool::kFalse) facts.note_depth_unsat(t_b);
-    if (status != sat::LBool::kTrue) break;
+        out.best.solved && options.incremental
+            ? nullptr
+            : make_configured_model(problem, t_b, config, options, with_swaps);
+    Model& current = fresh ? *fresh : *out.model;
+    const sat::LBool status =
+        solve_call(SearchEngine::kTimeResolved, current.solver(),
+                   {current.depth_bound(t_b)}, t_b, -1, deadline, diag);
+    if (status == sat::LBool::kUndef) break;
+    if (status == sat::LBool::kFalse) {
+      out.refuted = t_b;
+      facts.note_depth_unsat(t_b);
+      continue;
+    }
     out.best = current.extract();
-    if (fresh) model = std::move(fresh);
     facts.note_depth_sat(out.best.depth);
-    t_b = out.best.depth - 1;
+    if (fresh) out.model = std::move(fresh);
   }
-  out.model = std::move(model);
+  phase_span.arg("t_lb", t_lb);
+  phase_span.arg("refuted", out.refuted);
+  phase_span.arg("incumbent", out.best.solved ? out.best.depth : -1);
+  phase_span.arg("relax_calls", relax_calls);
+  phase_span.arg("bisect_calls", diag.sat_calls - calls_before - relax_calls);
   return out;
 }
 
@@ -134,9 +132,8 @@ Result synthesize_swap_optimal(const Problem& problem,
   obs::Span span("olsq2.swap_optimal");
   const Deadline deadline(options.time_budget_ms, options.cancel);
   Result diag;
-  DepthPhaseOutcome outcome = run_depth_phase(problem, config, options,
-                                              deadline, diag,
-                                              /*with_swaps=*/true);
+  DepthInterval outcome = run_depth_phase(problem, config, options, deadline,
+                                          diag, /*with_swaps=*/true);
   if (!outcome.best.solved) {
     finish(outcome.best, diag, deadline);
     return outcome.best;

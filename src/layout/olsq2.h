@@ -2,7 +2,9 @@
 //
 // Depth optimization: start from the dependency lower bound T_LB, relax the
 // bound geometrically (x1.3 below 100, x1.1 above) until the first SAT, then
-// decrement to the first UNSAT; the last SAT bound is optimal. SWAP
+// bisect between the highest refuted bound and the incumbent's depth until
+// they are adjacent; the incumbent is then optimal. This bisection departs
+// from the paper's decrement by one; no bound is asked twice. SWAP
 // optimization: 2-D Pareto sweep - at each depth bound run iterative descent
 // on the SWAP bound (monotone solution structure, §III-B2), then relax the
 // depth and retry, stopping when the SWAP count stops improving or the time

@@ -4,7 +4,7 @@
 // Pareto SWAP sweep (paper §III-B2) with its SWAP floor, and the
 // diagnostics merge. Both engines search a layout::Model, in its
 // time-resolved or transition-based mode. Each keeps its own horizon walk -
-// depth relax-then-decrement for OLSQ2, a +1 block walk for TB - because
+// depth relax-then-bisect for OLSQ2, a +1 block walk for TB - because
 // those differ in real ways.
 #pragma once
 

@@ -341,8 +341,8 @@ Cover enumerate_uncached(const device::Device& dev, int m,
 /// is stored once per device, not once per cover.
 struct CoverCache {
   sync::Mutex mutex{"subarch.cover"};
-  std::map<std::string, std::map<std::string, Cover>> covers
-      OLSQ2_GUARDED_BY(mutex);
+  std::map<std::string, std::map<std::string, std::shared_ptr<const Cover>>>
+      covers OLSQ2_GUARDED_BY(mutex);
 };
 
 CoverCache& cover_cache() {
@@ -352,8 +352,9 @@ CoverCache& cover_cache() {
 
 }  // namespace
 
-Cover enumerate_cover(const device::Device& dev, int m,
-                      const ExtractOptions& options) {
+std::shared_ptr<const Cover> enumerate_cover(const device::Device& dev,
+                                             int m,
+                                             const ExtractOptions& options) {
   obs::Span span("subarch.extract");
   const std::string dev_key = device_key(dev);
   const std::string key = std::to_string(m) + ":" +
@@ -363,7 +364,7 @@ Cover enumerate_cover(const device::Device& dev, int m,
   CoverCache& cache = cover_cache();
   {
     sync::MutexLock lock(cache.mutex);
-    const std::map<std::string, Cover>& per_device = cache.covers[dev_key];
+    const auto& per_device = cache.covers[dev_key];
     if (const auto it = per_device.find(key); it != per_device.end()) {
       if (obs::metrics::enabled()) {
         obs::metrics::Registry::instance()
@@ -378,13 +379,14 @@ Cover enumerate_cover(const device::Device& dev, int m,
       return it->second;
     }
   }
-  Cover cover = enumerate_uncached(dev, m, options);
+  auto cover =
+      std::make_shared<const Cover>(enumerate_uncached(dev, m, options));
   if (span.live()) {
     span.arg("m", m);
     span.arg("cached", false);
-    span.arg("sets", cover.enumerated);
-    span.arg("classes", static_cast<std::int64_t>(cover.classes.size()));
-    span.arg("complete", cover.complete);
+    span.arg("sets", cover->enumerated);
+    span.arg("classes", static_cast<std::int64_t>(cover->classes.size()));
+    span.arg("complete", cover->complete);
   }
   sync::MutexLock lock(cache.mutex);
   return cache.covers[dev_key].emplace(key, std::move(cover)).first->second;

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -74,9 +75,10 @@ struct Cover {
 
 /// Enumerate (or fetch from the process-wide cover cache) the size-m
 /// cover of `dev`. Thread-safe; covers depend only on the device
-/// structure, so one enumeration serves every request in the process.
-Cover enumerate_cover(const device::Device& dev, int m,
-                      const ExtractOptions& options = {});
+/// structure, so one enumeration serves every request in the process, and
+/// a cached cover is shared, never copied.
+std::shared_ptr<const Cover> enumerate_cover(
+    const device::Device& dev, int m, const ExtractOptions& options = {});
 
 /// True when every two-qubit-gate endpoint lies in one connected
 /// component of the circuit's interaction graph (the precondition of the

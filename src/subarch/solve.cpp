@@ -71,7 +71,7 @@ LadderResult run_ladder(const layout::Problem& problem,
     const int want = circ.num_qubits() + k;
     const int msize = std::min(want, dev.num_qubits());
 
-    Cover cover;
+    std::shared_ptr<const Cover> cover;
     if (msize == dev.num_qubits()) {
       // The "subarchitecture" is the whole device: one trivial class. The
       // probe below is then a plain bounded solve, which keeps the ladder
@@ -85,18 +85,20 @@ LadderResult run_ladder(const layout::Problem& problem,
       cls.canon = serve::canonicalize_device(cls.rep.device);
       cls.members = 1;
       cls.induced_edges = dev.num_edges();
-      cover.size = msize;
-      cover.complete = true;
-      cover.enumerated = 1;
-      cover.classes.push_back(std::move(cls));
+      Cover whole;
+      whole.size = msize;
+      whole.complete = true;
+      whole.enumerated = 1;
+      whole.classes.push_back(std::move(cls));
+      cover = std::make_shared<const Cover>(std::move(whole));
     } else {
       if (msize > subopts.extract.max_sub_qubits) {
         return bail("subgraph size cap (m=" + std::to_string(msize) + ")");
       }
       cover = enumerate_cover(dev, msize, subopts.extract);
-      if (!cover.complete) return bail("enumeration budget");
+      if (!cover->complete) return bail("enumeration budget");
     }
-    out.classes_total += static_cast<std::int64_t>(cover.classes.size());
+    out.classes_total += static_cast<std::int64_t>(cover->classes.size());
 
     // Classes of this round answered UNSAT, densest first. A class that
     // embeds as a spanning subgraph of one of them is refuted with it: its
@@ -114,7 +116,7 @@ LadderResult run_ladder(const layout::Problem& problem,
                          });
     };
 
-    for (const CoverClass& cls : cover.classes) {
+    for (const CoverClass& cls : cover->classes) {
       if (deadline.cancelled()) return bail("cancelled");
       if (deadline.expired()) return bail("budget");
       if (is_dominated(cls)) {

@@ -256,10 +256,10 @@ void pin_device(Table& table, const std::string& name, device::Device dev,
 /// canonical form, its representative's embedding and its member count.
 void pin_cover(Table& table, const std::string& name,
                const device::Device& dev, int m) {
-  const subarch::Cover cover = subarch::enumerate_cover(dev, m);
-  EXPECT_TRUE(cover.complete) << name << " m=" << m;
-  std::string record = std::to_string(cover.classes.size());
-  for (const subarch::CoverClass& cls : cover.classes) {
+  const auto cover = subarch::enumerate_cover(dev, m);
+  EXPECT_TRUE(cover->complete) << name << " m=" << m;
+  std::string record = std::to_string(cover->classes.size());
+  for (const subarch::CoverClass& cls : cover->classes) {
     record += '#';
     record += device_record(cls.canon);
     append_ints(record, cls.rep.to_full);

@@ -67,6 +67,23 @@ TEST_P(RandomProblemSweep, DepthOptimalIsValidAndBoundedBelow) {
   EXPECT_GE(r.depth, deps.longest_chain());
 }
 
+// The returned depth is the optimum: a fixed-bound solve is SAT at it and
+// UNSAT one below, unless it is the dependency lower bound.
+TEST_P(RandomProblemSweep, DepthOptimumIsTightByFixedSolves) {
+  const auto [qubits, gates, sd, rows, seed] = GetParam();
+  const auto c = random_circuit(qubits, gates, seed);
+  const auto dev = device::grid(rows, (qubits + rows - 1) / rows);
+  const Problem problem{&c, &dev, sd};
+  const Result r = synthesize_depth_optimal(problem);
+  ASSERT_TRUE(r.solved);
+  EXPECT_TRUE(solve_fixed(problem, r.depth, -1).solved);
+  if (r.depth > circuit::DependencyGraph(c).longest_chain()) {
+    const Result below = solve_fixed(problem, r.depth - 1, -1);
+    EXPECT_FALSE(below.solved);
+    EXPECT_FALSE(below.hit_budget);
+  }
+}
+
 TEST_P(RandomProblemSweep, SwapOptimalDominatesAndVerifies) {
   const auto [qubits, gates, sd, rows, seed] = GetParam();
   const auto c = random_circuit(qubits, gates, seed);

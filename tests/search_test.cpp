@@ -1,7 +1,8 @@
-// The shared bound-search driver (layout/search.h): the deadline, the SWAP
-// sweep's budget contract, its SWAP floor (probes honour the deadline and
-// every pruned call says why) and the fixed-bound probes run under a
-// deadline.
+// The shared bound search (layout/search.h): the deadline, the
+// depth search's refuted/incumbent interval (no bound asked twice, shared
+// facts seed it), the SWAP sweep's budget contract, its SWAP floor (probes
+// honour the deadline and every pruned call says why) and the fixed-bound
+// probes run under a deadline.
 #include "layout/search.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "bengen/workloads.h"
+#include "circuit/dependency.h"
 #include "device/presets.h"
 #include "layout/model.h"
 #include "layout/olsq2.h"
@@ -62,6 +64,92 @@ TEST(Deadline, CarriesTheCancelToken) {
   cancel.store(true);
   EXPECT_TRUE(deadline.cancelled());
   EXPECT_FALSE(deadline.expired());  // a cancel is not a spent budget
+}
+
+/// Depth searches whose optimum lies above T_LB, so the interval has to be
+/// narrowed from both ends.
+struct DepthInstance {
+  const char* name;
+  circuit::Circuit circ;
+  device::Device dev;
+};
+
+std::vector<DepthInstance> depth_instances() {
+  std::vector<DepthInstance> out;
+  out.push_back({"qaoa6/grid2x3", bengen::qaoa_3regular(6, 2),
+                 device::grid(2, 3)});
+  out.push_back({"qft4/grid1x4", bengen::qft(4), device::grid(1, 4)});
+  return out;
+}
+
+std::string span_arg(const std::vector<obs::Event>& events,
+                     const std::string& span, const std::string& key) {
+  for (const obs::Event& e : events) {
+    if (e.name != span) continue;
+    for (const obs::Arg& a : e.args) {
+      if (a.key == key) return a.value;
+    }
+  }
+  return "";
+}
+
+TEST(DepthSearch, FactsFreeRunAsksNoBoundTwiceAndPrunesNothing) {
+  for (const DepthInstance& inst : depth_instances()) {
+    SCOPED_TRACE(inst.name);
+    const Problem problem{&inst.circ, &inst.dev, 1};
+    const int t_lb = circuit::DependencyGraph(inst.circ).longest_chain();
+    obs::Trace::instance().begin_capture("");
+    const Result r = synthesize_depth_optimal(problem);
+    const std::vector<obs::Event> events = obs::Trace::instance().snapshot();
+    obs::Trace::instance().end_capture();
+    ASSERT_TRUE(r.solved);
+    ASSERT_FALSE(r.hit_budget);
+
+    std::vector<int> asked;
+    bool refuted_below = false;
+    for (const SolveCall& call : r.calls) {
+      EXPECT_NE(call.status, 'P');
+      EXPECT_EQ(std::count(asked.begin(), asked.end(), call.depth_bound), 0)
+          << "bound " << call.depth_bound << " asked twice";
+      asked.push_back(call.depth_bound);
+      // Every answer agrees with the optimum.
+      EXPECT_EQ(call.status, call.depth_bound >= r.depth ? 'S' : 'U');
+      refuted_below |= call.depth_bound == r.depth - 1;
+    }
+    EXPECT_TRUE(refuted_below || r.depth == t_lb);
+
+    // The phase span tells how the interval closed.
+    const std::string span = "olsq2.depth_phase";
+    EXPECT_EQ(span_arg(events, span, "t_lb"), std::to_string(t_lb));
+    EXPECT_EQ(span_arg(events, span, "refuted"), std::to_string(r.depth - 1));
+    EXPECT_EQ(span_arg(events, span, "incumbent"), std::to_string(r.depth));
+    EXPECT_EQ(std::stoi(span_arg(events, span, "relax_calls")) +
+                  std::stoi(span_arg(events, span, "bisect_calls")),
+              r.sat_calls);
+  }
+}
+
+TEST(DepthSearch, SecondRunOnSharedFactsMakesOneSatCall) {
+  for (const DepthInstance& inst : depth_instances()) {
+    SCOPED_TRACE(inst.name);
+    const Problem problem{&inst.circ, &inst.dev, 1};
+    BoundFacts facts;
+    OptimizerOptions options;
+    options.facts = &facts;
+    const Result first = synthesize_depth_optimal(problem, {}, options);
+    ASSERT_TRUE(first.solved);
+    const Result second = synthesize_depth_optimal(problem, {}, options);
+    ASSERT_TRUE(second.solved);
+    EXPECT_EQ(second.depth, first.depth);
+    EXPECT_EQ(second.sat_calls, 1);
+    // The first run's refutation narrows the second's interval: that bound
+    // is the one peer prune, then the optimum is asked once.
+    ASSERT_EQ(second.calls.size(), 2u);
+    EXPECT_EQ(second.calls[0].status, 'P');
+    EXPECT_EQ(second.calls[0].depth_bound, first.depth - 1);
+    EXPECT_EQ(second.calls[1].status, 'S');
+    EXPECT_EQ(second.calls[1].depth_bound, first.depth);
+  }
 }
 
 /// A sweep handed an expired deadline with a SWAP-bearing incumbent in

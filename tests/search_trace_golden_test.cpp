@@ -70,27 +70,27 @@ constexpr Pin kPins[] = {
     {"toffoli/grid1x3/tb-swap", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
     {"toffoli/grid1x3/tb-swap/facts", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
     {"toffoli/grid1x3/ladder", "1ee0f99639a5c4d7", "07a7f9053f29f186"},
-    {"qaoa6/grid2x3/depth", "ebc672f313366a2b", "ab7dfffdcfc0d02e"},
-    {"qaoa6/grid2x3/depth/facts", "37daf68238fa5b76", "ab7dfffdcfc0d02e"},
-    {"qaoa6/grid2x3/depth/non-incremental", "d8238edb5dd974e4", "a659909afbb70c01"},
-    {"qaoa6/grid2x3/depth/non-incremental/facts", "83ebbfa77b3bd189", "a659909afbb70c01"},
-    {"qaoa6/grid2x3/swap", "60edb484c6c27087", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/facts", "2b406655c0506fbe", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/non-incremental", "8e8fe0384d1b7e97", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/non-incremental/facts", "5e9eab57de5b30ec", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/depth", "f29fdef19f633024", "ab7dfffdcfc0d02e"},
+    {"qaoa6/grid2x3/depth/facts", "f29fdef19f633024", "ab7dfffdcfc0d02e"},
+    {"qaoa6/grid2x3/depth/non-incremental", "e542a78c02b3c06b", "a659909afbb70c01"},
+    {"qaoa6/grid2x3/depth/non-incremental/facts", "e542a78c02b3c06b", "a659909afbb70c01"},
+    {"qaoa6/grid2x3/swap", "0283302e9c1524ec", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/facts", "0283302e9c1524ec", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/non-incremental", "cf24eb2c7e0a63be", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/non-incremental/facts", "cf24eb2c7e0a63be", "98159c90624a6d84"},
     {"qaoa6/grid2x3/tb-block", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
     {"qaoa6/grid2x3/tb-block/facts", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
     {"qaoa6/grid2x3/tb-swap", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
     {"qaoa6/grid2x3/tb-swap/facts", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
     {"qaoa6/grid2x3/ladder", "d16b657160fa9e50", "77865603cc49b0f4"},
-    {"qft4/grid1x4/depth", "12b0c4062e7fa49d", "dbd2957bc89783c5"},
-    {"qft4/grid1x4/depth/facts", "0e81bf4bce52f2ea", "dbd2957bc89783c5"},
-    {"qft4/grid1x4/depth/non-incremental", "d2e5b73544415599", "928480bba020df2e"},
-    {"qft4/grid1x4/depth/non-incremental/facts", "d4ff013a6240c87e", "928480bba020df2e"},
-    {"qft4/grid1x4/swap", "a3edc41b1a6033f9", "52568ac59dacc4a8"},
-    {"qft4/grid1x4/swap/facts", "158897b5407c7644", "52568ac59dacc4a8"},
-    {"qft4/grid1x4/swap/non-incremental", "a3edc41b1a6033f9", "52568ac59dacc4a8"},
-    {"qft4/grid1x4/swap/non-incremental/facts", "158897b5407c7644", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/depth", "37a65126356db871", "27f2775084cfeb40"},
+    {"qft4/grid1x4/depth/facts", "37a65126356db871", "27f2775084cfeb40"},
+    {"qft4/grid1x4/depth/non-incremental", "75da1939d7764f8f", "928480bba020df2e"},
+    {"qft4/grid1x4/depth/non-incremental/facts", "75da1939d7764f8f", "928480bba020df2e"},
+    {"qft4/grid1x4/swap", "4fc7284bb58e6538", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/facts", "4fc7284bb58e6538", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/non-incremental", "f66a5cc20504971f", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/non-incremental/facts", "f66a5cc20504971f", "52568ac59dacc4a8"},
     {"qft4/grid1x4/tb-block", "008afe9ce3d587a4", "18476a79b99b2efa"},
     {"qft4/grid1x4/tb-block/facts", "008afe9ce3d587a4", "18476a79b99b2efa"},
     {"qft4/grid1x4/tb-swap", "3030bef6e81865dd", "cf5327f123981323"},
