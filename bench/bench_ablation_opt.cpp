@@ -10,6 +10,9 @@
 //       between the highest refuted bound and the incumbent (what
 //       synthesize_depth_optimal runs) vs the paper's decrement by one,
 //   (f) injectivity encoding by instance shape.
+// (a)+(b), (d) and (e) run the served slots whose depth search descends:
+// an instance that is SAT at T_LB ends in one call, so no choice about
+// the calls after it can act there.
 #include <chrono>
 #include <cmath>
 
@@ -26,17 +29,36 @@ int main() {
 
   const double budget = case_budget_ms();
   const device::Device dev = device::grid(3, 3);
+  const device::Device aspen = device::rigetti_aspen4();
+  const device::Device grid23 = device::grid(2, 3);
+  struct Row {
+    std::string name;
+    circuit::Circuit circ;
+    const device::Device* on;
+    int sd;
+  };
+  std::vector<Row> descending;
+  for (const int seed : {2, 3}) {
+    descending.push_back({"QAOA(8) seed " + std::to_string(seed) + " aspen4",
+                          bengen::qaoa_3regular(8, seed), &aspen, 1});
+  }
+  descending.push_back({"TOF(3) grid2x3", bengen::tof(3), &grid23, 3});
+  // Calls / time of one depth-optimal search.
+  const auto calls_and_time = [](const layout::Result& r) {
+    return r.solved ? std::to_string(r.calls.size()) + " / " +
+                          fmt_ms(r.wall_ms, false)
+                    : "TO";
+  };
 
   std::cout << "=== Ablation: optimization strategies (paper §III-B) ===\n"
-            << "(QAOA on " << dev.name() << "; budget " << budget / 1000.0
-            << "s per cell)\n\n";
+            << "(budget " << budget / 1000.0 << "s per cell)\n\n";
 
-  std::cout << "--- (a)+(b) depth optimization: incremental & relaxation ---\n";
+  std::cout << "--- (a)+(b) depth optimization: incremental & relaxation ---\n"
+            << "(cells: calls / time)\n";
   {
-    Table table({"benchmark", "incr+geom", "fresh+geom", "incr+linear"}, 15);
-    for (const int n : {6, 8}) {
-      const circuit::Circuit qaoa = bengen::qaoa_3regular(n, 1);
-      const layout::Problem problem{&qaoa, &dev, 1};
+    Table table({"benchmark", "incr+geom", "fresh+geom", "incr+linear"}, 24);
+    for (const Row& row : descending) {
+      const layout::Problem problem{&row.circ, row.on, row.sd};
       layout::OptimizerOptions incremental;
       incremental.time_budget_ms = budget;
       layout::OptimizerOptions fresh = incremental;
@@ -46,14 +68,14 @@ int main() {
       const auto a = layout::synthesize_depth_optimal(problem, {}, incremental);
       const auto b = layout::synthesize_depth_optimal(problem, {}, fresh);
       const auto c = layout::synthesize_depth_optimal(problem, {}, linear);
-      table.print_row({qaoa.label(), fmt_ms(a.wall_ms, !a.solved),
-                       fmt_ms(b.wall_ms, !b.solved),
-                       fmt_ms(c.wall_ms, !c.solved)});
+      table.print_row(
+          {row.name, calls_and_time(a), calls_and_time(b), calls_and_time(c)});
     }
   }
 
   std::cout << "\n--- (c) SWAP bound at fixed optimal depth: descent vs "
-               "ascent ---\n";
+               "ascent ---\n"
+            << "(QAOA on " << dev.name() << ")\n";
   // Both directions run on ONE incrementally-solved model with totalizer
   // assumption bounds; only the query order differs. Descent (the paper's
   // choice) issues SAT queries until the final UNSAT; ascent issues UNSAT
@@ -131,21 +153,7 @@ int main() {
   // Neither asks a bound the opening refuted. Cells: calls / conflicts / time.
   {
     Table table({"benchmark", "bisect", "linear", "optimal depth"}, 24);
-    const device::Device aspen = device::rigetti_aspen4();
-    const device::Device grid23 = device::grid(2, 3);
-    struct Row {
-      std::string name;
-      circuit::Circuit circ;
-      const device::Device* on;
-      int sd;
-    };
-    std::vector<Row> rows;
-    for (const int seed : {2, 3}) {
-      rows.push_back({"QAOA(8) seed " + std::to_string(seed) + " aspen4",
-                      bengen::qaoa_3regular(8, seed), &aspen, 1});
-    }
-    rows.push_back({"TOF(3) grid2x3", bengen::tof(3), &grid23, 3});
-    for (const Row& row : rows) {
+    for (const Row& row : descending) {
       const layout::Problem problem{&row.circ, row.on, row.sd};
       const circuit::DependencyGraph deps(row.circ);
       const int t_lb = deps.longest_chain();
@@ -233,21 +241,21 @@ int main() {
     }
   }
 
-  std::cout << "\n--- (d) restart policy (depth optimization) ---\n";
+  std::cout << "\n--- (d) restart policy (depth optimization) ---\n"
+            << "(cells: calls / time)\n";
   {
-    Table table({"benchmark", "alternating", "glucose", "luby"}, 15);
-    for (const int n : {6, 8}) {
-      const circuit::Circuit qaoa = bengen::qaoa_3regular(n, 1);
-      const layout::Problem problem{&qaoa, &dev, 1};
-      std::vector<std::string> cells = {qaoa.label()};
+    Table table({"benchmark", "alternating", "glucose", "luby"}, 24);
+    for (const Row& row : descending) {
+      const layout::Problem problem{&row.circ, row.on, row.sd};
+      std::vector<std::string> cells = {row.name};
       for (const auto policy : {sat::Solver::RestartPolicy::kAlternating,
                                 sat::Solver::RestartPolicy::kGlucose,
                                 sat::Solver::RestartPolicy::kLuby}) {
         layout::OptimizerOptions options;
         options.time_budget_ms = budget;
         options.restart_policy = policy;
-        const auto r = layout::synthesize_depth_optimal(problem, {}, options);
-        cells.push_back(fmt_ms(r.wall_ms, !r.solved));
+        cells.push_back(calls_and_time(
+            layout::synthesize_depth_optimal(problem, {}, options)));
       }
       table.print_row(cells);
     }

@@ -6,7 +6,9 @@
 namespace olsq2::circuit {
 
 DependencyGraph::DependencyGraph(const Circuit& c)
-    : num_gates_(c.num_gates()), depth_(c.num_gates(), 1) {
+    : num_gates_(c.num_gates()),
+      depth_(c.num_gates(), 1),
+      tail_(c.num_gates(), 0) {
   std::vector<int> last_on_qubit(c.num_qubits(), -1);
   for (int g = 0; g < c.num_gates(); ++g) {
     const Gate& gate = c.gate(g);
@@ -19,6 +21,11 @@ DependencyGraph::DependencyGraph(const Circuit& c)
       last_on_qubit[q] = g;
     }
     longest_chain_ = std::max(longest_chain_, depth_[g]);
+  }
+  // pairs_ is ordered by its later gate, so walking it backwards finishes
+  // every successor's tail before its predecessors read it.
+  for (auto it = pairs_.rbegin(); it != pairs_.rend(); ++it) {
+    tail_[it->first] = std::max(tail_[it->first], tail_[it->second] + 1);
   }
 }
 

@@ -89,6 +89,7 @@ Model::Model(SearchEngine engine, const Problem& problem, int horizon,
   // generation is its own hot phase.
   obs::Span span(tb ? "tb.encode" : "olsq2.encode");
   build_variables();
+  build_windows();
   build_injectivity();
   build_dependencies();
   build_two_qubit_adjacency();
@@ -104,19 +105,25 @@ Model::Model(SearchEngine engine, const Problem& problem, int horizon,
   }
 
   // Domain-guided phase hints (paper §V): bias the search toward the
-  // identity mapping and an ASAP schedule (every gate in block 0 for TB).
+  // identity mapping and an ASAP schedule (each gate at the start of its
+  // window, block 0 for TB).
   // Never constrains the model.
   for (int q = 0; q < circ_.num_qubits(); ++q) {
     for (int t = 0; t < horizon_; ++t) pi_[q][t].suggest(solver_, q);
   }
   for (int g = 0; g < circ_.num_gates(); ++g) {
-    time_[g].suggest(solver_, tb ? 0 : deps_.chain_depth(g) - 1);
+    time_[g].suggest(solver_, earliest(g));
   }
   const char* horizon_key = tb ? "max_blocks" : "t_ub";
   if (span.live()) {
     span.arg(horizon_key, horizon_);
     span.arg("vars", solver_.num_vars());
     span.arg("clauses", static_cast<std::int64_t>(solver_.num_clauses()));
+    std::int64_t gate_steps = 0;
+    for (int g = 0; g < circ_.num_gates(); ++g) {
+      gate_steps += latest(g) - earliest(g) + 1;
+    }
+    span.arg("gate_steps", gate_steps);
   }
 
   if (lint_encodings_enabled()) {
@@ -190,6 +197,20 @@ void Model::build_variables() {
   }
 }
 
+void Model::build_windows() {
+  // The dependency ordering implies these units; stating them lets the
+  // encoders skip every (g, t) outside the window: time_[g] == t is false.
+  if (transition_based()) return;
+  for (int g = 0; g < circ_.num_gates(); ++g) {
+    if (latest(g) < horizon_ - 1) {
+      builder_.add({time_[g].le(builder_, latest(g))});
+    }
+    if (earliest(g) > 0) {
+      builder_.add({~time_[g].le(builder_, earliest(g) - 1)});
+    }
+  }
+}
+
 void Model::build_injectivity() {
   const int num_q = circ_.num_qubits();
   const int num_p = dev_.num_qubits();
@@ -249,7 +270,7 @@ void Model::build_two_qubit_adjacency() {
   for (int g = 0; g < circ_.num_gates(); ++g) {
     const circuit::Gate& gate = circ_.gate(g);
     if (!gate.is_two_qubit()) continue;
-    for (int t = 0; t < horizon_; ++t) {
+    for (int t = earliest(g); t <= latest(g); ++t) {
       // Transition-based mode creates the step literal before the
       // arrangements, as its CNF always has; the imply below hits the cache.
       if (transition_based()) time_[g].eq(builder_, t);
@@ -275,7 +296,7 @@ void Model::build_space_consistency() {
   for (int g = 0; g < circ_.num_gates(); ++g) {
     const circuit::Gate& gate = circ_.gate(g);
     if (gate.is_two_qubit()) {
-      for (int t = 0; t < horizon_; ++t) {
+      for (int t = earliest(g); t <= latest(g); ++t) {
         const Lit at_t = time_[g].eq(builder_, t);
         for (int e = 0; e < dev_.num_edges(); ++e) {
           const device::Edge& edge = dev_.edge(e);
@@ -288,7 +309,7 @@ void Model::build_space_consistency() {
         }
       }
     } else {
-      for (int t = 0; t < horizon_; ++t) {
+      for (int t = earliest(g); t <= latest(g); ++t) {
         const Lit at_t = time_[g].eq(builder_, t);
         for (int p = 0; p < dev_.num_qubits(); ++p) {
           builder_.add({~at_t, ~space_[g].eq(builder_, p),
@@ -370,6 +391,7 @@ void Model::build_swap_gate_exclusion() {
       const Lit swap_lit = sigma_[e][t];
       for (int t2 = std::max(0, t - sd + 1); t2 <= t; ++t2) {
         for (int g = 0; g < circ_.num_gates(); ++g) {
+          if (t2 < earliest(g) || t2 > latest(g)) continue;
           const circuit::Gate& gate = circ_.gate(g);
           const Lit gate_at = time_[g].eq(builder_, t2);
           if (baseline) {
@@ -422,9 +444,13 @@ Lit Model::depth_bound(int t_b) {
   if (auto it = depth_bound_cache_.find(t_b); it != depth_bound_cache_.end()) {
     return it->second;
   }
+  // Each gate ends where its window would at horizon t_b: bisection asks
+  // bounds below the horizon, where t_g < t_b alone is too loose.
   std::vector<Lit> bounds;
   bounds.reserve(time_.size());
-  for (const FdVar& tg : time_) bounds.push_back(tg.le(builder_, t_b - 1));
+  for (int g = 0; g < circ_.num_gates(); ++g) {
+    bounds.push_back(time_[g].le(builder_, latest(g) - (horizon_ - t_b)));
+  }
   // Unused transition layers must stay SWAP-free so the block bound also
   // caps where SWAPs may appear.
   if (transition_based()) {

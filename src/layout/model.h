@@ -6,16 +6,22 @@
 //   pi[q][t]    mapping variable: physical qubit of program qubit q at t
 //   time[g]     execution time step of gate g
 //   sigma[e][t] SWAP on edge e finishing at time t
+// Gate windows (implied, not in the paper): the dependency chains confine
+// gate g to [chain_depth(g) - 1, horizon - 1 - tail(g)]. Unit clauses assert
+// it, Eq. 1, Eq. 2-3 and the baseline's space consistency skip (g, t)
+// outside it, and depth_bound(b) ends each gate tail(g) steps before b.
+// No schedule is lost, so every answer is unchanged.
 // Transition-based (TB-OLSQ2, paper §III-D; SearchEngine::kTransitionBased)
 // is the same model with time coarsened to blocks: the mapping is fixed
 // inside a block and SWAPs form one layer per block transition. It differs
-// in five places:
+// in six places:
 //   - a SWAP occupies one step, so sigma[e][k] is the layer entering
 //     block k and extract() names it by the block it leaves, k-1;
 //   - dependent gates may share a block: t_g <= t_g' instead of t_g < t_g';
 //   - SWAPs of one layer exclude each other and the SWAP/gate exclusion
 //     (Eq. 2-3) vanishes;
 //   - the phase hint puts every gate in block 0 instead of ASAP;
+//   - no gate windows: t_g <= t_g' confines no gate to fewer blocks;
 //   - depth_bound(b) also keeps the SWAP layers at blocks >= b empty.
 // The OLSQ baseline additionally materializes a space variable x[g] per
 // gate (edge index for two-qubit gates, physical qubit for single-qubit
@@ -60,9 +66,9 @@ class Model {
   /// Time steps, or blocks in transition-based mode.
   int horizon() const { return horizon_; }
 
-  /// Assumption literal enforcing depth <= t_b (all t_g < t_b); in
-  /// transition-based mode also no SWAP layer at or after block t_b.
-  /// Cached.
+  /// Assumption literal enforcing depth <= t_b (all t_g < t_b - tail(g),
+  /// which the dependencies imply); in transition-based mode all t_g < t_b
+  /// and no SWAP layer at or after block t_b. Cached.
   Lit depth_bound(int t_b);
 
   /// Assumption literal enforcing total SWAP count <= s_b via a totalizer
@@ -97,6 +103,7 @@ class Model {
 
  private:
   void build_variables();
+  void build_windows();  // gate windows, time-resolved mode only
   void build_injectivity();
   void build_dependencies();
   void build_two_qubit_adjacency();      // OLSQ2 Eq. 1
@@ -109,6 +116,14 @@ class Model {
 
   bool transition_based() const {
     return engine_ == SearchEngine::kTransitionBased;
+  }
+  // Gate g's window: the steps its dependency chains leave it. Every block
+  // in transition-based mode, whose ordering t_g <= t_g' confines nothing.
+  int earliest(int g) const {
+    return transition_based() ? 0 : deps_.chain_depth(g) - 1;
+  }
+  int latest(int g) const {
+    return horizon_ - 1 - (transition_based() ? 0 : deps_.tail(g));
   }
   // A SWAP finishing at t occupies [t-S_D+1, t] and takes effect on the
   // t-1 -> t transition, so t must be >= max(1, S_D-1).

@@ -1,6 +1,10 @@
 // Tests for the circuit IR and dependency analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "circuit/circuit.h"
 #include "circuit/dependency.h"
 
@@ -88,6 +92,57 @@ TEST(Dependency, AsapLayersPartitionAllGates) {
     for (const int g : layers[l]) {
       EXPECT_EQ(deps.chain_depth(g), static_cast<int>(l) + 1);
     }
+  }
+}
+
+TEST(Dependency, TailCountsTheLongestChainAfterEachGate) {
+  Circuit c(3, "tail");
+  c.add_gate("cx", 0, 1);  // g0: g1 and g2 follow it
+  c.add_gate("cx", 1, 2);  // g1: g3 and g4 follow it
+  c.add_gate("h", 0);      // g2: last on q0
+  c.add_gate("t", 2);      // g3: last on q2
+  c.add_gate("h", 1);      // g4: last on q1
+  DependencyGraph deps(c);
+  EXPECT_EQ(deps.longest_chain(), 3);
+  const int tails[] = {2, 1, 0, 0, 0};
+  const int depths[] = {1, 2, 2, 3, 3};
+  for (int g = 0; g < 5; ++g) {
+    EXPECT_EQ(deps.tail(g), tails[g]) << "gate " << g;
+    EXPECT_EQ(deps.chain_depth(g), depths[g]) << "gate " << g;
+  }
+}
+
+// The chain through a gate is the chain up to it plus the chain after it,
+// so chain_depth(g) + tail(g) never exceeds T_LB and reaches it on the
+// longest chain. Each tail is one more than its longest successor's.
+TEST(Dependency, ChainsThroughEachGateFitTheLowerBound) {
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 50; ++trial) {
+    const int qubits = 2 + static_cast<int>(rng() % 5);
+    Circuit c(qubits, "random");
+    const int gates = 1 + static_cast<int>(rng() % 30);
+    for (int g = 0; g < gates; ++g) {
+      const int a = static_cast<int>(rng() % qubits);
+      const int b = static_cast<int>(rng() % qubits);
+      if (a == b) {
+        c.add_gate("h", a);
+      } else {
+        c.add_gate("cx", a, b);
+      }
+    }
+    const DependencyGraph deps(c);
+    std::vector<int> longest_successor(gates, -1);
+    for (const auto& [earlier, later] : deps.pairs()) {
+      longest_successor[earlier] =
+          std::max(longest_successor[earlier], deps.tail(later));
+    }
+    int widest = 0;
+    for (int g = 0; g < gates; ++g) {
+      EXPECT_EQ(deps.tail(g), longest_successor[g] + 1) << "gate " << g;
+      EXPECT_LE(deps.chain_depth(g) + deps.tail(g), deps.longest_chain());
+      widest = std::max(widest, deps.chain_depth(g) + deps.tail(g));
+    }
+    EXPECT_EQ(widest, deps.longest_chain()) << "trial " << trial;
   }
 }
 

@@ -42,35 +42,35 @@ struct Pin {
 
 // clang-format off
 constexpr Pin kPins[] = {
-    {"toffoli/qx2/pairwise-bv/time-resolved", "5acb90548f61e980"},
+    {"toffoli/qx2/pairwise-bv/time-resolved", "64ece1b6aca0961f"},
     {"toffoli/qx2/pairwise-bv/transition-based", "5b247ec03a9e6872"},
-    {"toffoli/qx2/channeling/time-resolved", "cf89fd5e3a45deb8"},
+    {"toffoli/qx2/channeling/time-resolved", "17598182476428c6"},
     {"toffoli/qx2/channeling/transition-based", "27fcb09b824bc519"},
-    {"toffoli/qx2/amo/time-resolved", "90737a73af85e9c6"},
+    {"toffoli/qx2/amo/time-resolved", "a4ac56d8de85a5c1"},
     {"toffoli/qx2/amo/transition-based", "c5f495ce84ac87ae"},
-    {"toffoli/qx2/onehot/time-resolved", "b38ad4bd4b8c30aa"},
+    {"toffoli/qx2/onehot/time-resolved", "ad9c3f13832a7bb6"},
     {"toffoli/qx2/onehot/transition-based", "7ee7c1d14b0a6e88"},
-    {"toffoli/qx2/olsq-baseline/time-resolved", "3625467af3fe473c"},
+    {"toffoli/qx2/olsq-baseline/time-resolved", "daabf0b024927219"},
     {"toffoli/qx2/olsq-baseline/transition-based", "798ad11828128b1a"},
-    {"qaoa_triangle/grid1x4/pairwise-bv/time-resolved", "d6add7987cf5b5a5"},
+    {"qaoa_triangle/grid1x4/pairwise-bv/time-resolved", "b9be4d5cd6b49c3d"},
     {"qaoa_triangle/grid1x4/pairwise-bv/transition-based", "ce6abe03c26d1bec"},
-    {"qaoa_triangle/grid1x4/channeling/time-resolved", "e46cf309850a3b9f"},
+    {"qaoa_triangle/grid1x4/channeling/time-resolved", "3313892cf3b27fc1"},
     {"qaoa_triangle/grid1x4/channeling/transition-based", "e74c80262725de76"},
-    {"qaoa_triangle/grid1x4/amo/time-resolved", "cb97ac583cc96d5b"},
+    {"qaoa_triangle/grid1x4/amo/time-resolved", "a3da2e5ecb29dc8a"},
     {"qaoa_triangle/grid1x4/amo/transition-based", "6e55c346bc3478a3"},
-    {"qaoa_triangle/grid1x4/onehot/time-resolved", "7d4d45e009f987e0"},
+    {"qaoa_triangle/grid1x4/onehot/time-resolved", "1cd449eb0b3e4061"},
     {"qaoa_triangle/grid1x4/onehot/transition-based", "4023c7c0039c088d"},
-    {"qaoa_triangle/grid1x4/olsq-baseline/time-resolved", "0b2669d1ee908cf7"},
+    {"qaoa_triangle/grid1x4/olsq-baseline/time-resolved", "6daab231dfdd3132"},
     {"qaoa_triangle/grid1x4/olsq-baseline/transition-based", "02117eae23bc1ba1"},
-    {"queko4/grid2x3/pairwise-bv/time-resolved", "5eee0ed3486a1eb4"},
+    {"queko4/grid2x3/pairwise-bv/time-resolved", "004f2bfef163ecb7"},
     {"queko4/grid2x3/pairwise-bv/transition-based", "3312942888966e6b"},
-    {"queko4/grid2x3/channeling/time-resolved", "6a1e4e6775ffdd9a"},
+    {"queko4/grid2x3/channeling/time-resolved", "9528868c85f11498"},
     {"queko4/grid2x3/channeling/transition-based", "17ab6868e5a2fb6b"},
-    {"queko4/grid2x3/amo/time-resolved", "0ca9d34468d883c1"},
+    {"queko4/grid2x3/amo/time-resolved", "ef02997983552992"},
     {"queko4/grid2x3/amo/transition-based", "9492da8db340552b"},
-    {"queko4/grid2x3/onehot/time-resolved", "1ed2e8664e92f7e0"},
+    {"queko4/grid2x3/onehot/time-resolved", "1cc1eeb9c7ac1e0f"},
     {"queko4/grid2x3/onehot/transition-based", "da51da978cd73d0f"},
-    {"queko4/grid2x3/olsq-baseline/time-resolved", "02c811156c9b4644"},
+    {"queko4/grid2x3/olsq-baseline/time-resolved", "f55c6932d3bdae50"},
     {"queko4/grid2x3/olsq-baseline/transition-based", "b36358759cb5a7bf"},
 };
 // clang-format on

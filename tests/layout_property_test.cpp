@@ -84,6 +84,40 @@ TEST_P(RandomProblemSweep, DepthOptimumIsTightByFixedSolves) {
   }
 }
 
+// The model confines gate g at horizon h to the window its dependency
+// chains allow, [chain_depth(g) - 1, h - 1 - tail(g)], so every decoded
+// time lies in it. The windows must remove no schedule: on a fully
+// connected device no SWAP is ever needed, so the optimum is T_LB itself,
+// and solve_fixed is SAT there (below T_LB no model exists; the grid's
+// d - 1 is DepthOptimumIsTightByFixedSolves' check).
+TEST_P(RandomProblemSweep, GateTimesLieInTheirWindows) {
+  const auto [qubits, gates, sd, rows, seed] = GetParam();
+  const auto c = random_circuit(qubits, gates, seed);
+  const circuit::DependencyGraph deps(c);
+  const auto expect_in_windows = [&](const Result& r, int horizon) {
+    ASSERT_TRUE(r.solved);
+    for (int g = 0; g < c.num_gates(); ++g) {
+      EXPECT_GE(r.gate_time[g], deps.chain_depth(g) - 1) << "gate " << g;
+      EXPECT_LE(r.gate_time[g], horizon - 1 - deps.tail(g)) << "gate " << g;
+    }
+  };
+  const auto dev = device::grid(rows, (qubits + rows - 1) / rows);
+  const Problem problem{&c, &dev, sd};
+  const Result optimum = synthesize_depth_optimal(problem);
+  expect_in_windows(optimum, optimum.depth);
+  expect_in_windows(solve_fixed(problem, optimum.depth, -1), optimum.depth);
+
+  std::vector<device::Edge> all_pairs;
+  for (int p = 0; p < qubits; ++p) {
+    for (int q = p + 1; q < qubits; ++q) all_pairs.push_back({p, q});
+  }
+  const device::Device complete("complete", qubits, all_pairs);
+  const Problem unrouted{&c, &complete, sd};
+  const int t_lb = deps.longest_chain();
+  EXPECT_EQ(synthesize_depth_optimal(unrouted).depth, t_lb);
+  expect_in_windows(solve_fixed(unrouted, t_lb, -1), t_lb);
+}
+
 TEST_P(RandomProblemSweep, SwapOptimalDominatesAndVerifies) {
   const auto [qubits, gates, sd, rows, seed] = GetParam();
   const auto c = random_circuit(qubits, gates, seed);

@@ -44,10 +44,10 @@ struct Pin {
 
 // clang-format off
 constexpr Pin kPins[] = {
-    {"toffoli/qx2/depth", "9332ec23e77fd37c", "f6e3113b4f58e6ce"},
-    {"toffoli/qx2/depth/facts", "9332ec23e77fd37c", "f6e3113b4f58e6ce"},
-    {"toffoli/qx2/depth/non-incremental", "9332ec23e77fd37c", "f6e3113b4f58e6ce"},
-    {"toffoli/qx2/depth/non-incremental/facts", "9332ec23e77fd37c", "f6e3113b4f58e6ce"},
+    {"toffoli/qx2/depth", "cac9a172a993519f", "d5fcd73f6fa65ae5"},
+    {"toffoli/qx2/depth/facts", "cac9a172a993519f", "d5fcd73f6fa65ae5"},
+    {"toffoli/qx2/depth/non-incremental", "cac9a172a993519f", "d5fcd73f6fa65ae5"},
+    {"toffoli/qx2/depth/non-incremental/facts", "cac9a172a993519f", "d5fcd73f6fa65ae5"},
     {"toffoli/qx2/swap", "a7557146fcb35717", "7750be79a88c0571"},
     {"toffoli/qx2/swap/facts", "a7557146fcb35717", "7750be79a88c0571"},
     {"toffoli/qx2/swap/non-incremental", "a7557146fcb35717", "7750be79a88c0571"},
@@ -70,25 +70,25 @@ constexpr Pin kPins[] = {
     {"toffoli/grid1x3/tb-swap", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
     {"toffoli/grid1x3/tb-swap/facts", "ec29ee64796d3cb6", "c42ad90e6ce30dd7"},
     {"toffoli/grid1x3/ladder", "1ee0f99639a5c4d7", "07a7f9053f29f186"},
-    {"qaoa6/grid2x3/depth", "f29fdef19f633024", "ab7dfffdcfc0d02e"},
-    {"qaoa6/grid2x3/depth/facts", "f29fdef19f633024", "ab7dfffdcfc0d02e"},
-    {"qaoa6/grid2x3/depth/non-incremental", "e542a78c02b3c06b", "a659909afbb70c01"},
-    {"qaoa6/grid2x3/depth/non-incremental/facts", "e542a78c02b3c06b", "a659909afbb70c01"},
-    {"qaoa6/grid2x3/swap", "0283302e9c1524ec", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/facts", "0283302e9c1524ec", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/non-incremental", "cf24eb2c7e0a63be", "98159c90624a6d84"},
-    {"qaoa6/grid2x3/swap/non-incremental/facts", "cf24eb2c7e0a63be", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/depth", "e8f71477f37ffca9", "6620c9278475d983"},
+    {"qaoa6/grid2x3/depth/facts", "e8f71477f37ffca9", "6620c9278475d983"},
+    {"qaoa6/grid2x3/depth/non-incremental", "e8f71477f37ffca9", "6620c9278475d983"},
+    {"qaoa6/grid2x3/depth/non-incremental/facts", "e8f71477f37ffca9", "6620c9278475d983"},
+    {"qaoa6/grid2x3/swap", "6295742c023c6a39", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/facts", "6295742c023c6a39", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/non-incremental", "4bf00c80e0f8aef1", "98159c90624a6d84"},
+    {"qaoa6/grid2x3/swap/non-incremental/facts", "4bf00c80e0f8aef1", "98159c90624a6d84"},
     {"qaoa6/grid2x3/tb-block", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
     {"qaoa6/grid2x3/tb-block/facts", "27c2aa0e8ae007fc", "4a93a09a2dcfb7dd"},
     {"qaoa6/grid2x3/tb-swap", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
     {"qaoa6/grid2x3/tb-swap/facts", "42559b1482bf8bf9", "d49fe4abfcc271d0"},
     {"qaoa6/grid2x3/ladder", "d16b657160fa9e50", "77865603cc49b0f4"},
-    {"qft4/grid1x4/depth", "37a65126356db871", "27f2775084cfeb40"},
-    {"qft4/grid1x4/depth/facts", "37a65126356db871", "27f2775084cfeb40"},
-    {"qft4/grid1x4/depth/non-incremental", "75da1939d7764f8f", "928480bba020df2e"},
-    {"qft4/grid1x4/depth/non-incremental/facts", "75da1939d7764f8f", "928480bba020df2e"},
-    {"qft4/grid1x4/swap", "4fc7284bb58e6538", "52568ac59dacc4a8"},
-    {"qft4/grid1x4/swap/facts", "4fc7284bb58e6538", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/depth", "9ba2f7b10ee2e1ac", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth/facts", "9ba2f7b10ee2e1ac", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth/non-incremental", "9ba2f7b10ee2e1ac", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/depth/non-incremental/facts", "9ba2f7b10ee2e1ac", "dbd2957bc89783c5"},
+    {"qft4/grid1x4/swap", "f66a5cc20504971f", "52568ac59dacc4a8"},
+    {"qft4/grid1x4/swap/facts", "f66a5cc20504971f", "52568ac59dacc4a8"},
     {"qft4/grid1x4/swap/non-incremental", "f66a5cc20504971f", "52568ac59dacc4a8"},
     {"qft4/grid1x4/swap/non-incremental/facts", "f66a5cc20504971f", "52568ac59dacc4a8"},
     {"qft4/grid1x4/tb-block", "008afe9ce3d587a4", "18476a79b99b2efa"},
@@ -96,10 +96,10 @@ constexpr Pin kPins[] = {
     {"qft4/grid1x4/tb-swap", "3030bef6e81865dd", "cf5327f123981323"},
     {"qft4/grid1x4/tb-swap/facts", "3030bef6e81865dd", "cf5327f123981323"},
     {"qft4/grid1x4/ladder", "5a1c56d9e5d26a99", "18476a79b99b2efa"},
-    {"queko4/grid2x3/depth", "3512a7785dd84ca9", "c81706728115cfcf"},
-    {"queko4/grid2x3/depth/facts", "3512a7785dd84ca9", "c81706728115cfcf"},
-    {"queko4/grid2x3/depth/non-incremental", "3512a7785dd84ca9", "c81706728115cfcf"},
-    {"queko4/grid2x3/depth/non-incremental/facts", "3512a7785dd84ca9", "c81706728115cfcf"},
+    {"queko4/grid2x3/depth", "831e2044543a7347", "3003bb76d41161b1"},
+    {"queko4/grid2x3/depth/facts", "831e2044543a7347", "3003bb76d41161b1"},
+    {"queko4/grid2x3/depth/non-incremental", "831e2044543a7347", "3003bb76d41161b1"},
+    {"queko4/grid2x3/depth/non-incremental/facts", "831e2044543a7347", "3003bb76d41161b1"},
     {"queko4/grid2x3/swap", "5af91108bf4dbcb5", "d8896e8da2e45323"},
     {"queko4/grid2x3/swap/facts", "5af91108bf4dbcb5", "d8896e8da2e45323"},
     {"queko4/grid2x3/swap/non-incremental", "5af91108bf4dbcb5", "d8896e8da2e45323"},
